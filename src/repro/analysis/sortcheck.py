@@ -90,7 +90,7 @@ def check_term_sorts(root: Term, visited: set[int] | None = None) -> list[tuple[
     while stack:
         term, expanded = stack.pop()
         if expanded:
-            message = _check_one(term)
+            message = _sort_error(term)
             if message is not None:
                 problems.append((term, message))
             cone_clean = message is None and all(is_clean(arg) for arg in term.args)
@@ -108,7 +108,7 @@ def check_term_sorts(root: Term, visited: set[int] | None = None) -> list[tuple[
     return problems
 
 
-def _check_one(term: Term) -> str | None:
+def _sort_error(term: Term) -> str | None:
     arity = _ARITIES.get(term.op)
     if term.op not in _ARITIES:
         return f"unknown operator {term.op!r}"

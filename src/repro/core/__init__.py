@@ -11,21 +11,17 @@ properties (:func:`annotate`), then verify it through the unified API in
     baseline = verify(annotated, Monolithic(timeout=60))
 
 This package holds the engine primitives those strategies drive: the three
-verification conditions, the per-node/per-class checking functions
-(:func:`check_node`, :func:`check_class`), the symmetry partitioner, the
-monolithic and strawperson engines and the report types.  The legacy
-one-shot entry points (:func:`check_modular`, :func:`check_monolithic`,
-:func:`check_strawperson`) remain as deprecated shims with identical
-verdicts.
+verification conditions, the per-class checking primitive
+(:func:`check_class`), the symmetry partitioner, the monolithic and
+strawperson engines and the report types.
 """
 
 from repro.core.annotations import AnnotatedNetwork, DestinationSymmetry, annotate
-from repro.core.checker import assert_verified, check_class, check_modular, check_node
+from repro.core.checker import assert_verified, check_class
 from repro.core.conditions import (
     CONDITION_KINDS,
     INDUCTIVE,
     INITIAL,
-    NAMING_SCHEMES,
     SAFETY,
     VerificationCondition,
     canonical_node_conditions,
@@ -42,7 +38,6 @@ from repro.core.symmetry import (
 )
 from repro.core.counterexample import Counterexample
 from repro.core.monolithic import (
-    check_monolithic,
     erased_property,
     run_monolithic,
     stable_state_constraints,
@@ -57,7 +52,6 @@ from repro.core.results import (
 )
 from repro.core.strawperson import (
     StrawpersonReport,
-    check_strawperson,
     erased_interfaces,
     run_strawperson,
 )
@@ -98,7 +92,6 @@ __all__ = [
     "node_conditions",
     "canonical_node_conditions",
     "CONDITION_KINDS",
-    "NAMING_SCHEMES",
     "INITIAL",
     "INDUCTIVE",
     "SAFETY",
@@ -108,15 +101,11 @@ __all__ = [
     "DestinationQuotient",
     "partition_nodes",
     # checking
-    "check_node",
     "check_class",
-    "check_modular",
     "assert_verified",
-    "check_monolithic",
     "run_monolithic",
     "stable_state_constraints",
     "erased_property",
-    "check_strawperson",
     "run_strawperson",
     "erased_interfaces",
     # results

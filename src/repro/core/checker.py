@@ -1,42 +1,29 @@
-"""The modular checking primitives (Algorithm 1: ``CheckMod``).
+"""The modular checking primitive (Algorithm 1: ``CheckMod``).
 
-Orchestration (node/class scheduling, symmetry partitioning, parallel
-dispatch, report assembly) lives in :mod:`repro.verify.session`; this module
-provides the per-batch primitives :func:`check_node` and :func:`check_class`
-it builds on, plus the deprecated :func:`check_modular` shim.
-
-For every node of an annotated network, encode and discharge the initial,
-inductive and safety conditions.  Node checks are completely independent —
-the paper calls them "embarrassingly parallel" — so they can be run either
-sequentially or on a fork-based process pool (see
-:mod:`repro.core.parallel`).  Timing is collected per node so the harness can
-report the totals, medians and 99th percentiles the paper plots.
+For every node of an annotated network the paper encodes and discharges the
+initial, inductive and safety conditions.  Node checks are completely
+independent — the paper calls them "embarrassingly parallel".  This module
+provides the one per-batch primitive, :func:`check_class`, that discharges
+them; the batch unit is a symmetry class (:mod:`repro.core.symmetry`).
+Without symmetry reduction every class is a singleton, so a batch is one
+node; with it, a batch discharges one representative and propagates its
+verdicts to the other members.  Orchestration (partitioning, the delta
+filter, sequential or parallel dispatch through :mod:`repro.core.parallel`,
+report assembly) lives in :func:`repro.verify.session.modular_events`.
+Timing is collected per node so the harness can report the totals, medians
+and 99th percentiles the paper plots.
 
 By default the conditions are discharged on the per-process incremental SMT
-backend (:func:`repro.smt.process_solver`): the three conditions of a node —
-and consecutive nodes checked by the same worker — share encoded structure
+backend (:func:`repro.smt.process_solver`): the conditions of a batch — and
+consecutive batches checked by the same worker — share encoded structure
 and learned clauses.  Pass ``incremental=False`` (or an explicit ``solver``)
 to fall back to a fresh SAT instance per condition; the verdicts are
 identical either way, only the cost differs (see the ablation benchmarks).
-
-**Symmetry reduction.**  ``check_modular(..., symmetry="classes")`` first
-partitions the nodes into equivalence classes (:mod:`repro.core.symmetry`) —
-via benchmark-supplied metadata hints or a generic canonical-form hash of
-each node's conditions — then discharges the conditions of one
-representative per class and propagates the verdict (with a positionally
-translated counterexample) to the remaining members.  All of a class is
-discharged in one SAT scope, so encoded clauses and learned clauses are
-shared across the entire class.  ``symmetry="spot-check"`` additionally
-re-verifies one deterministically chosen extra member per class and raises
-if its verdict disagrees with the representative's — the guard against a
-wrong canonicalization or hint.  Verdicts are identical across all three
-modes; only the number of discharged conditions (and the wall time) differs.
 """
 
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import Any, Iterable, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
@@ -71,7 +58,7 @@ def _discharge(
 
 
 def _acquire_solver(solver: Any | None, incremental: bool) -> tuple[Any | None, bool]:
-    """The backend for one node/class batch, opening a fresh SAT scope.
+    """The backend for one class batch, opening a fresh SAT scope.
 
     When the caller pinned no solver and asked for the incremental backend,
     the shared per-process solver is used with a new scope: the batch's
@@ -92,7 +79,7 @@ def _recover_solver(solver: Any | None, owned: bool) -> None:
 
     Without this, a crashed check (a user interface raising, an interrupted
     solve) could leave the per-process solver's SAT trail or assertion
-    frames inconsistent and silently poison every later node's verdict.
+    frames inconsistent and silently poison every later batch's verdict.
     Caller-pinned solvers are left alone: ``recover()`` drops every frame
     above the root, which would destroy assertions the caller pushed for
     its own purposes — their cleanup policy is theirs to choose.
@@ -102,43 +89,6 @@ def _recover_solver(solver: Any | None, owned: bool) -> None:
     recover = getattr(solver, "recover", None)
     if recover is not None:
         recover()
-
-
-def check_node(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-    fail_fast: bool = True,
-    solver: Any | None = None,
-    incremental: bool = True,
-) -> NodeReport:
-    """Check one node's verification conditions.
-
-    ``conditions`` restricts which of the three conditions are checked (the
-    harness uses this for ablations).  With ``fail_fast`` the remaining
-    conditions are skipped after the first failure, mirroring Algorithm 1,
-    which returns the first counterexample it finds.
-
-    ``solver`` pins the SMT backend for all of the node's conditions; when
-    omitted, the shared per-process incremental solver is used unless
-    ``incremental=False`` requests fresh per-condition SAT instances.  If a
-    condition raises, the shared backend is restored to a clean state before
-    the exception propagates, so subsequent checks stay sound.
-    """
-    unknown = set(conditions) - set(CONDITION_KINDS)
-    if unknown:
-        raise VerificationError(f"unknown condition kinds {sorted(unknown)}")
-    solver, owned = _acquire_solver(solver, incremental)
-    started = _time.perf_counter()
-    try:
-        results = _discharge(
-            node_conditions(annotated, node, delay=delay), conditions, fail_fast, solver
-        )
-    except BaseException:
-        _recover_solver(solver, owned)
-        raise
-    return NodeReport(node=node, results=results, duration=_time.perf_counter() - started)
 
 
 def check_class(
@@ -152,9 +102,19 @@ def check_class(
 ) -> list[NodeReport]:
     """Check one symmetry class: discharge the representative, reuse the rest.
 
-    Returns a report per member, in member order.  The representative's
-    conditions are built with class-canonical naming and discharged in one
-    SAT scope; every other member receives the representative's verdicts as
+    Returns a report per member, in member order.  ``conditions`` restricts
+    which of the three conditions are checked (unknown kinds raise
+    :class:`VerificationError`).  With ``fail_fast`` the remaining
+    conditions are skipped after the first failure, mirroring Algorithm 1,
+    which returns the first counterexample it finds.  ``solver`` pins the
+    SMT backend; when omitted, the shared per-process incremental solver is
+    used unless ``incremental=False`` requests fresh per-condition SAT
+    instances.  If a condition raises, an internally acquired backend is
+    restored to a clean state before the exception propagates.
+
+    The representative's conditions are discharged in one SAT scope (a
+    singleton class — ``symmetry="off"`` — is just that node's check);
+    every other member receives the representative's verdicts as
     propagated :class:`ConditionResult` records (duration 0, counterexamples
     translated by the positional neighbour correspondence).  When the class
     carries a ``spot_member``, that member's conditions are rebuilt from
@@ -174,6 +134,9 @@ def check_class(
     the class's slot permutation, and every result carries
     ``quotient="destination"`` provenance.
     """
+    unknown = set(conditions) - set(CONDITION_KINDS)
+    if unknown:
+        raise VerificationError(f"unknown condition kinds {sorted(unknown)}")
     representative = symmetry_class.representative
     quotient = symmetry_class.destination
     solver, owned = _acquire_solver(solver, incremental)
@@ -183,15 +146,14 @@ def check_class(
     try:
         built = symmetry_class.conditions
         if built is None or symmetry_class.conditions_delay != delay:
-            # No cached conditions (metadata-hint path), or the cache was
-            # built for a different delay than this check requests.
+            # No cached conditions (singleton or metadata-hint classes), or
+            # the cache was built for a different delay than this check
+            # requests.
             if quotient is not None:
                 built, _ = canonical_node_conditions(annotated, representative, delay=delay)
                 built = tuple(built)
             else:
-                built = tuple(
-                    node_conditions(annotated, representative, delay=delay, naming="class")
-                )
+                built = tuple(node_conditions(annotated, representative, delay=delay))
         results = _discharge(built, conditions, fail_fast, solver)
         if quotient is not None and any(not result.holds for result in results):
             # The canonical instance failed; its counterexample payloads are
@@ -200,7 +162,7 @@ def check_class(
             # (equivalid — identical holds pattern and fail-fast truncation)
             # for a counterexample in the representative's own coordinates.
             results = _discharge(
-                tuple(node_conditions(annotated, representative, delay=delay, naming="class")),
+                tuple(node_conditions(annotated, representative, delay=delay)),
                 conditions,
                 fail_fast,
                 solver,
@@ -285,7 +247,7 @@ def _spot_check_member(
     member_started = _time.perf_counter()
     try:
         member_results = _discharge(
-            node_conditions(annotated, member, delay=delay, naming="class"),
+            node_conditions(annotated, member, delay=delay),
             conditions,
             fail_fast,
             solver,
@@ -304,51 +266,6 @@ def _spot_check_member(
     return NodeReport(
         node=member, results=member_results, duration=_time.perf_counter() - member_started
     )
-
-
-def check_modular(
-    annotated: AnnotatedNetwork,
-    nodes: Iterable[str] | None = None,
-    delay: int = 0,
-    jobs: int = 1,
-    conditions: Sequence[str] = CONDITION_KINDS,
-    fail_fast: bool = True,
-    incremental: bool = True,
-    symmetry: str = "off",
-    spot_check_seed: int = 0,
-) -> ModularReport:
-    """Deprecated shim over :class:`repro.verify.Session`.
-
-    Use ``verify(annotated, Modular(...))`` instead — the kwargs map onto
-    :class:`repro.verify.Modular` fields one-for-one (``jobs`` →
-    ``parallel``, ``incremental=False`` → ``backend="fresh"``) and the
-    verdicts are identical: the session's modular engine *is* this
-    procedure (see :func:`repro.verify.session.modular_events` for the
-    scheduling, symmetry and report-ordering contract).
-    """
-    warnings.warn(
-        "check_modular is deprecated; use repro.verify.Session with Modular(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.verify import Modular, Session
-
-    try:
-        strategy = Modular(
-            symmetry=symmetry,
-            backend="incremental" if incremental else "fresh",
-            # The legacy API accepted jobs <= 0 as "run sequentially".
-            parallel=max(1, jobs),
-            fail_fast=fail_fast,
-            spot_check_seed=spot_check_seed,
-            delay=delay,
-            conditions=tuple(conditions),
-        )
-    except ValueError as error:
-        # The legacy API signalled bad knobs with VerificationError.
-        raise VerificationError(str(error)) from None
-    with Session(annotated, strategy) as session:
-        return session.run(nodes=None if nodes is None else tuple(nodes))
 
 
 def assert_verified(report: ModularReport) -> None:

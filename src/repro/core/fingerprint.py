@@ -16,11 +16,10 @@ module computes the keys that decision is made on:
 
 * :func:`condition_fingerprint` — the content hash of one
   :class:`~repro.core.conditions.VerificationCondition`: its kind plus the
-  digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions are
-  fingerprinted in their *class-canonical* form (``naming="class"``, the PR 2
-  scheme that names query variables by predecessor position), so the
-  fingerprint erases node identity: isomorphic nodes share fingerprints, and
-  a verdict cached for one is a verdict for all of them.
+  digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions
+  name their query variables by predecessor position, so the fingerprint
+  erases node identity: isomorphic nodes share fingerprints, and a verdict
+  cached for one is a verdict for all of them.
 
 * :func:`node_dependency_fingerprint` — a per-node digest covering exactly
   the inputs the node's three conditions are built from: the node's own
@@ -227,10 +226,9 @@ def fingerprint_value(value: Any, rewrite: Any = None) -> str:
 def condition_fingerprint(condition: VerificationCondition) -> str:
     """The content hash of one verification condition.
 
-    Digests the ``(kind, assumptions, goal)`` triple; callers who need
-    node-identity-erased fingerprints (the delta store, the symmetry layer)
-    must pass conditions built with ``naming="class"`` — see
-    :func:`node_condition_fingerprints`.
+    Digests the ``(kind, assumptions, goal)`` triple; positional query
+    naming makes it node-identity-erased (see
+    :func:`node_condition_fingerprints`).
     """
     return _digest(
         (
@@ -251,7 +249,7 @@ def node_condition_fingerprints(
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
-    Builds the node's conditions in class-canonical form (cheap: terms are
+    Builds the node's positionally named conditions (cheap: terms are
     hash-consed and their digests memoised) — destination-canonicalized when
     the network declares a destination symmetry, so permuted all-pairs nodes
     share condition fingerprints — and digests each requested kind.  These
@@ -329,9 +327,9 @@ def _dependency_digest(
     width = annotated.time_width(delay)
     base_width = annotated.time_width()
 
-    time_variable = _query_time(node, width)
-    base_time = _query_time(node, base_width)
-    own_route = _query_route(network, node, naming="class")
+    time_variable = _query_time(width)
+    base_time = _query_time(base_width)
+    own_route = _query_route(network)
     interface = annotated.interface(node)
     node_property = annotated.node_property(node)
 
@@ -350,7 +348,7 @@ def _dependency_digest(
     parts.append(term_digest(network.route_shape.constraint(own_route).term))
     neighbor_routes: dict[str, Any] = {}
     for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, neighbor, naming="class", position=position)
+        route = _query_route(network, position)
         neighbor_routes[neighbor] = route
         # The neighbour's interface is what the inductive condition assumes;
         # its *name* is deliberately not part of the digest (positional

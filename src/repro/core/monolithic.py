@@ -18,7 +18,6 @@ paper's evaluation.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import Any
 
 from repro import smt
@@ -56,32 +55,6 @@ def erased_property(annotated: AnnotatedNetwork, node: str, route: Any) -> SymBo
     width = annotated.time_width()
     stable_time = SymBV.constant(annotated.max_witness_time(), width)
     return annotated.node_property(node)(route, stable_time)
-
-
-def check_monolithic(
-    annotated: AnnotatedNetwork,
-    timeout: float | None = None,
-) -> MonolithicReport:
-    """Deprecated shim over :class:`repro.verify.Session`.
-
-    Use ``verify(annotated, Monolithic(timeout=...))`` instead; the
-    verdicts are identical.
-    """
-    warnings.warn(
-        "check_monolithic is deprecated; use repro.verify.Session with "
-        "Monolithic(timeout=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.verify import Monolithic, Session
-
-    if timeout is not None and timeout <= 0:
-        # The legacy API accepted an already-exhausted budget and reported a
-        # timeout; the strategy's validation rejects non-positive timeouts,
-        # so keep the old engine path for this corner.
-        return run_monolithic(annotated, timeout=timeout)
-    with Session(annotated, Monolithic(timeout=timeout)) as session:
-        return session.run()
 
 
 def run_monolithic(

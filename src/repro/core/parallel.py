@@ -1,20 +1,21 @@
-"""Streaming process-pool execution of per-node and per-class checks.
+"""Streaming process-pool execution of per-class checks.
 
-Node checks share no state, so they parallelise trivially.  Annotated
-networks hold closures (transfer functions, interfaces) that are not
-picklable in general, so instead of shipping the network to worker processes
-we rely on ``fork``: the annotated network (and, with symmetry reduction,
-the precomputed symmetry classes) is stashed in a module-level slot before
-the pool is created, every forked worker inherits it, and only an index or
-node name travels over the queue.  The returned :class:`NodeReport` objects
-contain plain data and pickle fine.
+Class checks share no state, so they parallelise trivially.  The work unit
+is a symmetry class (:mod:`repro.core.symmetry`) — with ``symmetry="off"``
+every class is a singleton, so a work item is one node.  Annotated networks
+hold closures (transfer functions, interfaces) that are not picklable in
+general, so instead of shipping the network to worker processes we rely on
+``fork``: the annotated network and the partition are stashed in a
+module-level slot before the pool is created, every forked worker inherits
+them, and only a class index travels over the queue.  The returned
+:class:`NodeReport` objects contain plain data and pickle fine.
 
 Work items are dispatched **streamingly** rather than barrier-style:
-:func:`iter_node_batches` and :func:`iter_class_batches` are generators that
-yield one ``(index, reports, cache_delta)`` batch the moment its worker
-finishes, in completion order.  The caller re-sorts final reports to
-deterministic node order by the submission index, so results are
-reproducible while progress is live.
+:func:`iter_class_batches` is a generator that yields one
+``(index, reports, cache_delta)`` batch the moment its worker finishes, in
+completion order.  The caller re-sorts final reports to deterministic node
+order by the submission index, so results are reproducible while progress
+is live.
 
 **Adaptive scheduling.**  The in-flight window per worker is adaptive
 (:func:`_window_size`): with many more pending items than workers it grows
@@ -22,11 +23,11 @@ reproducible while progress is live.
 latency, and it shrinks back to one as the queue drains, so a consumer that
 *closes* the iterator (run-level fail-fast, an abandoned stream) still stops
 dispatch promptly — unsubmitted items are never started, the in-flight
-remainder is terminated, and the pool's processes are reaped before
-``GeneratorExit`` propagates.  No worker is ever orphaned.  Class batches
-additionally get **work-stealing splits**: when there are fewer classes than
-requested workers (the skewed partitions the destination quotient produces —
-a handful of classes, one of them huge), the largest splittable classes are
+remainder finishes and is discarded, and the pool's processes are reaped
+before ``GeneratorExit`` propagates.  No worker is ever orphaned.  Classes also get
+**work-stealing splits**: when there are fewer classes than requested
+workers (the skewed partitions the destination quotient produces — a
+handful of classes, one of them huge), the largest splittable classes are
 split into one work item per requested condition kind, computed up front as
 a deterministic plan (:func:`_class_work_items`); the stream re-merges each
 split class's sub-results into a single batch with the exact results an
@@ -39,22 +40,21 @@ accounting the pool would have used, so ablation rows compare like with
 like.
 
 Each forked worker keeps its own per-process incremental SMT solver
-(:func:`repro.smt.process_solver`), so the batches a worker checks share
+(:func:`repro.smt.process_solver`), so the classes a worker checks share
 encoded structure and learned clauses exactly as in sequential mode.
 Because those per-worker counters are not observable from the parent, every
-work item measures its own cache-counter delta (the ``_with_delta``
-protocol below) and ships it home with the reports; the parent sums the
-deltas into the run's ``backend_cache`` aggregate.  The sequential fallback
-measures deltas the same way, so degraded runs report identical statistics
-for identical inputs.
+work item measures its own cache-counter delta (:func:`_check_item`) and
+ships it home with the reports; the parent sums the deltas into the run's
+``backend_cache`` aggregate.  The sequential fallback measures deltas the
+same way, so degraded runs report identical statistics for identical
+inputs.
 
-With symmetry reduction, work is partitioned by *equivalence class* rather
-than by node: one work item is one whole class, so a worker encodes one
-structural shape, discharges it once, and propagates verdicts to the class
-members without its caches ever being evicted by unrelated structure —
-batch-aware partitioning in the sense of batch-parallel data structures.
-Class work items are dispatched in class order, which balances the (very
-uneven) class sizes; the caller re-sorts member reports to node order.
+One work item is one whole class, so a worker encodes one structural shape,
+discharges it once, and propagates verdicts to the class members without
+its caches ever being evicted by unrelated structure — batch-aware
+partitioning in the sense of batch-parallel data structures.  Class work
+items are dispatched in class order, which balances the (very uneven)
+class sizes; the caller re-sorts member reports to node order.
 
 On platforms without ``fork``, or when the pool itself cannot be set up, the
 checker degrades to sequential execution with a :class:`RuntimeWarning` —
@@ -71,7 +71,7 @@ import os
 import queue
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import CONDITION_KINDS
@@ -88,10 +88,7 @@ _ACTIVE_NETWORK: AnnotatedNetwork | None = None
 _ACTIVE_OPTIONS: dict | None = None
 _ACTIVE_CLASSES: Sequence[SymmetryClass] | None = None
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: One completed work item: the submission index (node or class position),
+#: One completed work item: the submission index (class position),
 #: the member reports, and the worker's incremental-backend cache delta for
 #: the item (``{}`` with ``incremental=False``).
 Batch = tuple[int, list[NodeReport], dict[str, int]]
@@ -148,107 +145,52 @@ class SchedulerStats:
         }
 
 
-def _check_node_with_delta(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool,
-) -> tuple[list[NodeReport], dict[str, int]]:
-    """Check one node and measure this process's cache-counter delta.
-
-    The single definition of the node-batch delta protocol — used verbatim
-    by the forked worker entry point and the sequential fallback, so both
-    report identical ``backend_cache`` statistics for identical inputs.
-    """
-    from repro.core.checker import check_node
-
-    before = process_cache_statistics() if incremental else {}
-    report = check_node(
-        annotated,
-        node,
-        delay=delay,
-        conditions=conditions,
-        fail_fast=fail_fast,
-        incremental=incremental,
-    )
-    delta = (
-        subtract_cache_statistics(process_cache_statistics(), before) if incremental else {}
-    )
-    return [report], delta
-
-
-def _check_class_with_delta(
-    annotated: AnnotatedNetwork,
-    symmetry_class: SymmetryClass,
-    delay: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool,
-) -> tuple[list[NodeReport], dict[str, int]]:
-    """Check one class and measure this process's cache-counter delta.
-
-    The single definition of the class-batch delta protocol — used verbatim
-    by the forked worker entry point and the sequential fallback, so both
-    report identical ``backend_cache`` statistics for identical inputs.
-    """
-    from repro.core.checker import check_class
-
-    before = process_cache_statistics() if incremental else {}
-    reports = check_class(
-        annotated,
-        symmetry_class,
-        delay=delay,
-        conditions=conditions,
-        fail_fast=fail_fast,
-        incremental=incremental,
-    )
-    delta = (
-        subtract_cache_statistics(process_cache_statistics(), before) if incremental else {}
-    )
-    return reports, delta
-
-
-def _check_one(node: str) -> tuple[list[NodeReport], dict[str, int]]:
-    """Worker entry point: check a single node of the inherited network."""
-    assert _ACTIVE_NETWORK is not None and _ACTIVE_OPTIONS is not None
-    return _check_node_with_delta(
-        _ACTIVE_NETWORK,
-        node,
-        delay=_ACTIVE_OPTIONS["delay"],
-        conditions=_ACTIVE_OPTIONS["conditions"],
-        fail_fast=_ACTIVE_OPTIONS["fail_fast"],
-        incremental=_ACTIVE_OPTIONS["incremental"],
-    )
-
-
 #: One class-scheduler work item: ``(class_index, kinds)`` where ``kinds``
 #: is ``None`` for a whole class or the single condition kind of a
 #: work-stealing split.
 ClassItem = tuple[int, "tuple[str, ...] | None"]
 
 
-def _check_one_class(item: ClassItem) -> tuple[list[NodeReport], dict[str, int], int]:
-    """Worker entry point: check one class work item of the inherited network.
+def _check_item(
+    annotated: AnnotatedNetwork,
+    classes: Sequence[SymmetryClass],
+    options: dict,
+    item: ClassItem,
+) -> tuple[list[NodeReport], dict[str, int], int]:
+    """Check one class work item and measure this process's cache-counter delta.
 
-    Returns the member reports, the cache delta and the worker's pid (the
-    scheduler's evidence of how many processes actually did class work).
-    A split item restricts the check to its condition-kind subset; the
+    The single definition of the batch delta protocol — used verbatim by the
+    forked worker entry point and the sequential fallback, so both report
+    identical ``backend_cache`` statistics for identical inputs.  Returns
+    the member reports, the cache delta and the pid of the process that ran
+    the item (the scheduler's evidence of how many processes did work).  A
+    split item restricts the check to its condition-kind subset; the
     parent-side stream re-merges the subsets into whole-class batches.
     """
-    assert _ACTIVE_NETWORK is not None and _ACTIVE_OPTIONS is not None
-    assert _ACTIVE_CLASSES is not None
+    from repro.core.checker import check_class
+
     index, kinds = item
-    reports, delta = _check_class_with_delta(
-        _ACTIVE_NETWORK,
-        _ACTIVE_CLASSES[index],
-        delay=_ACTIVE_OPTIONS["delay"],
-        conditions=kinds if kinds is not None else _ACTIVE_OPTIONS["conditions"],
-        fail_fast=_ACTIVE_OPTIONS["fail_fast"],
-        incremental=_ACTIVE_OPTIONS["incremental"],
+    incremental = options["incremental"]
+    before = process_cache_statistics() if incremental else {}
+    reports = check_class(
+        annotated,
+        classes[index],
+        delay=options["delay"],
+        conditions=kinds if kinds is not None else options["conditions"],
+        fail_fast=options["fail_fast"],
+        incremental=incremental,
+    )
+    delta = (
+        subtract_cache_statistics(process_cache_statistics(), before) if incremental else {}
     )
     return reports, delta, os.getpid()
+
+
+def _worker_entry(item: ClassItem) -> tuple[list[NodeReport], dict[str, int], int]:
+    """Worker entry point: check one class work item of the inherited network."""
+    assert _ACTIVE_NETWORK is not None and _ACTIVE_OPTIONS is not None
+    assert _ACTIVE_CLASSES is not None
+    return _check_item(_ACTIVE_NETWORK, _ACTIVE_CLASSES, _ACTIVE_OPTIONS, item)
 
 
 def _class_work_items(
@@ -332,31 +274,31 @@ def _merge_split_class(
 
 def _iter_pool(
     annotated: AnnotatedNetwork,
-    classes: Sequence[SymmetryClass] | None,
+    classes: Sequence[SymmetryClass],
     options: dict,
     jobs: int,
-    items: Sequence[_T],
-    worker: Callable[[_T], _R],
-    sequential_one: Callable[[_T], _R],
+    items: Sequence[ClassItem],
     stats: SchedulerStats | None = None,
-) -> Iterator[tuple[int, _R]]:
-    """Yield ``(index, worker(item))`` in completion order, streamingly.
+) -> Iterator[tuple[int, tuple[list[NodeReport], dict[str, int], int]]]:
+    """Yield ``(position, result)`` per work item in completion order, streamingly.
 
     The core dispatcher: submits up to ``workers × window`` items with
     ``apply_async`` (the window is adaptive, see :func:`_window_size`) and
     blocks on a completion queue fed by the pool's result-handler callbacks;
     each completion tops the in-flight set back up and is yielded
     immediately.  Closing the generator (or any exception, including a
-    worker crash propagating) terminates the pool — unsubmitted items are
-    never started and no worker is orphaned.  Falls back to in-process
+    worker crash propagating) shuts the pool down — unsubmitted items are
+    never started, the in-flight ones finish unobserved, and no worker is
+    orphaned; only an interrupt kills the workers outright.  Falls back to in-process
     execution (same yield protocol, same window *accounting* on ``stats``)
     when ``fork`` or the pool is unavailable.
 
     Known limitation (shared with the ``pool.map`` predecessor): a worker
     killed *hard* (SIGKILL/OOM) loses its in-flight task — the pool respawns
-    the process but no callback ever fires, so the completion wait blocks
-    until the consumer interrupts it.  Python exceptions inside a worker are
-    not affected: they arrive via ``error_callback`` and propagate.
+    the process but no callback ever fires, so the completion wait (and the
+    wait for the in-flight remainder after an early stop) blocks until the
+    consumer interrupts it.  Python exceptions inside a worker are not
+    affected: they arrive via ``error_callback`` and propagate.
     """
     global _ACTIVE_NETWORK, _ACTIVE_OPTIONS, _ACTIVE_CLASSES
 
@@ -370,7 +312,7 @@ def _iter_pool(
         for index, item in enumerate(items):
             if stats is not None:
                 stats.record_dispatch(_window_size(len(items) - index, sequential_processes))
-            yield index, sequential_one(item)
+            yield index, _check_item(annotated, classes, options, item)
         return
 
     _ACTIVE_NETWORK = annotated
@@ -398,7 +340,7 @@ def _iter_pool(
             for index, item in enumerate(items):
                 if stats is not None:
                     stats.record_dispatch(_window_size(len(items) - index, processes))
-                yield index, sequential_one(item)
+                yield index, _check_item(annotated, classes, options, item)
             return
 
         # Completions land here from the pool's result-handler thread; the
@@ -407,7 +349,7 @@ def _iter_pool(
 
         def submit(index: int) -> None:
             pool.apply_async(
-                worker,
+                _worker_entry,
                 (items[index],),
                 callback=lambda outcome, index=index: completions.put((index, outcome, None)),
                 error_callback=lambda error, index=index: completions.put((index, None, error)),
@@ -442,11 +384,20 @@ def _iter_pool(
                     raise error
                 top_up()
                 yield index, outcome
+        except (Exception, GeneratorExit):
+            # Worker crash, run-level fail-fast or consumer abandonment: stop
+            # dispatching, let the in-flight remainder finish (its results
+            # are discarded) and reap every worker before propagating.
+            # Killing busy workers instead (``pool.terminate()``) can
+            # deadlock: a worker killed while writing its result holds the
+            # result queue's lock forever, and the pool's task handler —
+            # which ``terminate()`` joins — blocks on that lock.
+            pool.close()
+            pool.join()
+            raise
         except BaseException:
-            # Worker crash, run-level fail-fast, consumer abandonment
-            # (GeneratorExit) or an interrupt mid-priming: stop dispatching,
-            # kill the in-flight remainder, reap every worker before
-            # propagating.
+            # An interrupt: the workers got it too, so waiting for them is
+            # not an option.
             pool.terminate()
             pool.join()
             raise
@@ -457,59 +408,6 @@ def _iter_pool(
         _ACTIVE_NETWORK = None
         _ACTIVE_OPTIONS = None
         _ACTIVE_CLASSES = None
-
-
-def _options(
-    delay: int, conditions: Sequence[str], fail_fast: bool, incremental: bool
-) -> dict:
-    return {
-        "delay": delay,
-        "conditions": tuple(conditions),
-        "fail_fast": fail_fast,
-        "incremental": incremental,
-    }
-
-
-def _stream(
-    pooled: Iterator[tuple[int, tuple[list[NodeReport], dict[str, int]]]]
-) -> Iterator[Batch]:
-    """Re-shape the dispatcher's pairs into :data:`Batch` triples.
-
-    Closes the inner generator explicitly on every exit path: pool teardown
-    must not depend on refcount finalization of the wrapped generator (the
-    documented stop-dispatch guarantee).
-    """
-    try:
-        for index, (reports, delta) in pooled:
-            yield index, reports, delta
-    finally:
-        pooled.close()
-
-
-def iter_node_batches(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool = True,
-) -> Iterator[Batch]:
-    """Stream per-node check batches using up to ``jobs`` forked workers.
-
-    Yields ``(node_index, [report], cache_delta)`` in completion order;
-    ``node_index`` is the node's position in ``nodes``, so the caller can
-    restore the deterministic selection order after the fact.  Closing the
-    iterator stops dispatching queued nodes and terminates the pool.
-    """
-    options = _options(delay, conditions, fail_fast, incremental)
-
-    def sequential_one(node: str) -> tuple[list[NodeReport], dict[str, int]]:
-        return _check_node_with_delta(annotated, node, **options)
-
-    return _stream(
-        _iter_pool(annotated, None, options, jobs, tuple(nodes), _check_one, sequential_one)
-    )
 
 
 def iter_class_batches(
@@ -532,32 +430,26 @@ def iter_class_batches(
     unchanged results either way.  ``scheduler="fixed"`` disables splitting
     and the adaptive window (the ablation baseline).  ``stats`` (a
     :class:`SchedulerStats`) is filled in while the stream drains.  Closing
-    the iterator stops dispatching unsubmitted items and terminates the
-    pool.
+    the iterator stops dispatching unsubmitted items and shuts the pool
+    down.
     """
     if scheduler not in SCHEDULER_MODES:
         raise ValueError(f"unknown scheduler {scheduler!r}; choose one of {SCHEDULER_MODES}")
-    options = _options(delay, conditions, fail_fast, incremental)
+    options = {
+        "delay": delay,
+        "conditions": tuple(conditions),
+        "fail_fast": fail_fast,
+        "incremental": incremental,
+    }
     if stats is None:
         stats = SchedulerStats()
     items = _class_work_items(classes, jobs, conditions, scheduler, stats)
-
-    def sequential_one(item: ClassItem) -> tuple[list[NodeReport], dict[str, int], int]:
-        index, kinds = item
-        sub_options = dict(options)
-        if kinds is not None:
-            sub_options["conditions"] = kinds
-        reports, delta = _check_class_with_delta(annotated, classes[index], **sub_options)
-        return reports, delta, os.getpid()
-
     pooled = _iter_pool(
         annotated,
         classes,
         options,
         jobs,
         items,
-        _check_one_class,
-        sequential_one,
         stats=None if scheduler == "fixed" else stats,
     )
     return _stream_class_items(pooled, items, conditions, fail_fast, stats)
@@ -599,53 +491,6 @@ def _stream_class_items(
         pooled.close()
 
 
-def _drain(
-    batches: Iterator[Batch], incremental: bool
-) -> tuple[list[NodeReport], dict[str, int] | None]:
-    """Barrier-style convenience: exhaust a batch stream and re-sort.
-
-    Returns the flattened reports in submission order plus the summed cache
-    deltas (``None`` with ``incremental=False``).
-    """
-    indexed: dict[int, list[NodeReport]] = {}
-    totals: dict[str, int] = {}
-    for index, reports, delta in batches:
-        indexed[index] = reports
-        totals = add_cache_statistics(totals, delta)
-    flattened = [report for index in sorted(indexed) for report in indexed[index]]
-    return flattened, (totals if incremental else None)
-
-
-def check_nodes_in_parallel(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool = True,
-) -> tuple[list[NodeReport], dict[str, int] | None]:
-    """Check ``nodes`` using up to ``jobs`` forked worker processes.
-
-    The barrier-style drain of :func:`iter_node_batches`: returns the
-    reports in node order and the summed incremental-backend cache deltas of
-    the workers (``None`` with ``incremental=False``) — measured identically
-    whether the items ran on the pool or on the sequential fallback.
-    """
-    return _drain(
-        iter_node_batches(
-            annotated,
-            nodes,
-            delay=delay,
-            jobs=jobs,
-            conditions=conditions,
-            fail_fast=fail_fast,
-            incremental=incremental,
-        ),
-        incremental,
-    )
-
-
 def check_classes_in_parallel(
     annotated: AnnotatedNetwork,
     classes: Sequence[SymmetryClass],
@@ -662,19 +507,23 @@ def check_classes_in_parallel(
     The barrier-style drain of :func:`iter_class_batches`: returns the
     flattened member reports (class order; the caller re-sorts to node
     order) and the summed incremental-backend cache deltas of the workers
-    (``None`` with ``incremental=False``).
+    (``None`` with ``incremental=False``) — measured identically whether
+    the items ran on the pool or on the sequential fallback.
     """
-    return _drain(
-        iter_class_batches(
-            annotated,
-            classes,
-            delay=delay,
-            jobs=jobs,
-            conditions=conditions,
-            fail_fast=fail_fast,
-            incremental=incremental,
-            scheduler=scheduler,
-            stats=stats,
-        ),
-        incremental,
-    )
+    indexed: dict[int, list[NodeReport]] = {}
+    totals: dict[str, int] = {}
+    for index, reports, delta in iter_class_batches(
+        annotated,
+        classes,
+        delay=delay,
+        jobs=jobs,
+        conditions=conditions,
+        fail_fast=fail_fast,
+        incremental=incremental,
+        scheduler=scheduler,
+        stats=stats,
+    ):
+        indexed[index] = reports
+        totals = add_cache_statistics(totals, delta)
+    flattened = [report for index in sorted(indexed) for report in indexed[index]]
+    return flattened, (totals if incremental else None)

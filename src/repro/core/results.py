@@ -132,7 +132,8 @@ class ModularReport:
     #: verdict — ``lint="strict"`` raises before a report exists.
     diagnostics: list = field(default_factory=list)
     #: Adaptive-scheduler statistics from the parallel dispatcher (``None``
-    #: for sequential runs or when symmetry was off): ``workers`` (pool
+    #: for sequential runs, or when delta reuse left nothing to dispatch;
+    #: parallel ``symmetry="off"`` runs report them too): ``workers`` (pool
     #: size), ``classes_stolen`` (oversized classes split across workers)
     #: and ``window`` (histogram: prefetch-window size → number of
     #: dispatches made at that window).  See :mod:`repro.core.parallel`.

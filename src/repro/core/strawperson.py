@@ -14,7 +14,6 @@ reproduce before showing how the temporal procedure rejects them.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -85,27 +84,6 @@ def erased_interfaces(annotated: "AnnotatedNetwork") -> dict[str, StableInterfac
         return lambda route: interface(route, stable_time)
 
     return {node: erase(node) for node in annotated.nodes}
-
-
-def check_strawperson(
-    network: Network,
-    interfaces: Mapping[str, StableInterface],
-) -> StrawpersonReport:
-    """Deprecated shim over :class:`repro.verify.Session`.
-
-    Use ``verify(network, Strawperson(interfaces=...))`` instead; the
-    verdicts are identical.
-    """
-    warnings.warn(
-        "check_strawperson is deprecated; use repro.verify.Session with "
-        "Strawperson(interfaces=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.verify import Session, Strawperson
-
-    with Session(network, Strawperson(interfaces=interfaces)) as session:
-        return session.run()
 
 
 def run_strawperson(

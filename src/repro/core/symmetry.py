@@ -3,13 +3,19 @@
 On a ``k``-fattree the modular checker discharges ``1.25·k²`` structurally
 identical batches of verification conditions: every edge switch of a
 non-destination pod (and every aggregation switch, and every core switch)
-proves the *same* theorem up to node renaming.  This module computes node
-equivalence classes so :func:`repro.core.checker.check_modular` can discharge
-the conditions of one *representative* per class and propagate the verdict to
-the remaining members — cutting the dominant cost from O(k²) condition
-batches to O(1) per tier.
+proves the *same* theorem up to node renaming.  This module partitions the
+selected nodes into equivalence classes; the engine
+(:func:`repro.verify.session.modular_events`) discharges the conditions of
+one *representative* per class with :func:`repro.core.checker.check_class`
+and propagates the verdict to the remaining members — cutting the dominant
+cost from O(k²) condition batches to O(1) per tier.
 
-Two partitioning strategies, in order of preference:
+The class is the engine's only unit of work, so :func:`partition_nodes`
+serves every symmetry mode:
+
+* **No reduction** (``symmetry="off"``).  The trivial partition: every
+  selected node is its own singleton class, and every condition is
+  discharged by its own node.
 
 * **Metadata hints.**  An :class:`~repro.core.annotations.AnnotatedNetwork`
   may carry a ``symmetry_key`` function (attached by benchmark builders that
@@ -20,40 +26,34 @@ Two partitioning strategies, in order of preference:
   ``symmetry="spot-check"``, which re-verifies a deterministically chosen
   extra member per class, or rely on the in-degree sanity check below.
 
-* **Canonical-form hashing.**  For arbitrary topologies (WAN, ghost-state
-  networks) each node's conditions are built with *class-canonical* naming
-  (``naming="class"`` in :mod:`repro.core.conditions`): query routes are
-  named by predecessor position, erasing node identity.  Because terms are
-  hash-consed process-wide, two nodes belong to the same class **iff** their
-  canonicalized ``(assumptions, goal)`` pairs are the identical ``Term``
+* **Canonical-form hashing.**  Otherwise each node's conditions are built
+  (query routes are named by predecessor position, erasing node identity —
+  see :mod:`repro.core.conditions`) and, when an all-pairs network declares
+  a :class:`~repro.core.annotations.DestinationSymmetry` marker,
+  canonicalized *up to simultaneous destination-index permutation*
+  (:func:`repro.core.conditions.canonical_node_conditions`).  Because terms
+  are hash-consed process-wide, two nodes belong to the same class **iff**
+  their canonical ``(assumptions, goal)`` pairs are the identical ``Term``
   objects — so verdict propagation is sound by construction (the members
-  discharge literally the same query).  Networks with no symmetry cleanly
-  degrade to singleton classes, i.e. per-node checking.
+  discharge literally the same query).  Destination-canonical classes
+  record a :class:`DestinationQuotient` with the per-member slot witnesses,
+  and counterexamples re-concretize the destination through the slot
+  permutation (:func:`destination_permutation`).  Networks with no
+  symmetry cleanly degrade to singleton classes.
 
-* **Destination quotient.**  All-pairs networks additionally declare a
-  :class:`~repro.core.annotations.DestinationSymmetry` marker; class-named
-  conditions are then canonicalized *up to simultaneous destination-index
-  permutation* (:func:`repro.core.conditions.canonical_node_conditions`)
-  before hashing, so two edge nodes that differ only in *which* destination
-  constants their conditions mention share one class.  Each class records a
-  :class:`DestinationQuotient` with the per-member slot witnesses; verdicts
-  still propagate as term-identity of the canonical forms, and
-  counterexamples re-concretize the destination through the slot
-  permutation (:func:`destination_permutation`).
-
-Soundness.  Under canonical hashing, equal keys mean equal terms, so the
-representative's verdict *is* every member's verdict.  Under the destination
-quotient, equal keys mean the members' raw conditions are each equivalid
-with the *same* canonical instance (they are its images under bijections of
-the destination index that preserve the range constraint), hence equivalid
-with each other.  Under metadata hints, soundness rests on the hint being a
-refinement of true condition isomorphism; ``partition_nodes`` cross-checks
-in-degrees (a cheap necessary condition) and ``spot-check`` mode samples the
-rest.  Counterexamples found at a representative are translated to each
-member by the positional neighbour correspondence
-(``member.predecessors[i] ↔ representative.predecessors[i]``), composed —
-for destination-quotient classes — with the member's destination
-re-concretization.
+Soundness.  Under canonical hashing without a destination quotient, equal
+keys mean equal terms, so the representative's verdict *is* every member's
+verdict.  Under the destination quotient, equal keys mean the members' raw
+conditions are each equivalid with the *same* canonical instance (they are
+its images under bijections of the destination index that preserve the
+range constraint), hence equivalid with each other.  Under metadata hints,
+soundness rests on the hint being a refinement of true condition
+isomorphism; ``partition_nodes`` cross-checks in-degrees (a cheap necessary
+condition) and ``spot-check`` mode samples the rest.  Counterexamples found
+at a representative are translated to each member by the positional
+neighbour correspondence (``member.predecessors[i] ↔
+representative.predecessors[i]``), composed — for destination-quotient
+classes — with the member's destination re-concretization.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ from repro.core.conditions import (
     CONDITION_KINDS,
     VerificationCondition,
     canonical_node_conditions,
-    node_conditions,
 )
 from repro.core.counterexample import Counterexample, reindex_destination
 from repro.errors import VerificationError
 
-#: The symmetry modes accepted by ``check_modular``.
+#: The symmetry modes accepted by :class:`repro.verify.Modular` and
+#: :func:`partition_nodes`.
 SYMMETRY_MODES = ("off", "classes", "spot-check")
 
 
@@ -126,9 +126,9 @@ class SymmetryClass:
     ``members`` is ordered deterministically (the order the nodes were given
     to :func:`partition_nodes`); the first member is the representative whose
     conditions are actually discharged.  ``conditions`` caches the
-    representative's canonically-named conditions when the generic hashing
-    path already built them (``None`` under metadata hints, where conditions
-    are built lazily at check time).  ``spot_member`` names the extra member
+    representative's canonical conditions when the hashing partition already
+    built them (``None`` for singletons of ``symmetry="off"`` and under
+    metadata hints, where conditions are built lazily at check time).  ``spot_member`` names the extra member
     re-verified in ``spot-check`` mode (chosen up front by the checker so the
     selection is reproducible and independent of parallel scheduling).
     """
@@ -158,22 +158,25 @@ def partition_nodes(
     nodes: Sequence[str],
     delay: int = 0,
     conditions: Sequence[str] = CONDITION_KINDS,
+    symmetry: str = "classes",
 ) -> list[SymmetryClass]:
     """Partition ``nodes`` into symmetry classes (deterministic order).
 
-    Uses the destination-permutation quotient when the network declares a
-    :class:`~repro.core.annotations.DestinationSymmetry`, else the annotated
-    network's ``symmetry_key`` hint when present, otherwise the generic
-    canonical-form hash.  Classes are returned in first-member order;
+    ``symmetry="off"`` returns one singleton class per node without building
+    any condition.  Otherwise the annotated network's ``symmetry_key`` hint
+    is used when present (and no destination symmetry is declared), else
+    the canonical-form hash.  Classes are returned in first-member order;
     members keep the order of ``nodes``.
     """
-    if annotated.destination_symmetry is not None:
-        return _partition_by_destination_quotient(
-            annotated, nodes, delay=delay, conditions=conditions
+    if symmetry not in SYMMETRY_MODES:
+        raise VerificationError(
+            f"unknown symmetry mode {symmetry!r}; choose one of {SYMMETRY_MODES}"
         )
-    if annotated.symmetry_key is not None:
+    if symmetry == "off":
+        return [SymmetryClass(key=node, members=(node,)) for node in nodes]
+    if annotated.destination_symmetry is None and annotated.symmetry_key is not None:
         return _partition_by_hint(annotated, nodes)
-    return _partition_by_canonical_hash(annotated, nodes, delay=delay, conditions=conditions)
+    return _partition_by_canonical_form(annotated, nodes, delay=delay, conditions=conditions)
 
 
 def _partition_by_hint(annotated: AnnotatedNetwork, nodes: Sequence[str]) -> list[SymmetryClass]:
@@ -211,57 +214,31 @@ def _check_in_degrees(annotated: AnnotatedNetwork, classes: list[SymmetryClass])
             )
 
 
-def _partition_by_canonical_hash(
+def _partition_by_canonical_form(
     annotated: AnnotatedNetwork,
     nodes: Sequence[str],
     delay: int,
     conditions: Sequence[str],
 ) -> list[SymmetryClass]:
-    requested = set(conditions)
-    groups: dict[Hashable, list[str]] = {}
-    built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
-    for node in nodes:
-        node_vcs = tuple(node_conditions(annotated, node, delay=delay, naming="class"))
-        # Hash-consing makes term_id a process-stable structural fingerprint:
-        # equal keys ⟺ the canonicalized conditions are the same Term objects.
-        key = tuple(
-            (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-            for vc in node_vcs
-            if vc.kind in requested
-        )
-        if key not in groups:
-            built[key] = node_vcs
-        groups.setdefault(key, []).append(node)
-    return [
-        SymmetryClass(
-            key=key, members=tuple(members), conditions=built[key], conditions_delay=delay
-        )
-        for key, members in groups.items()
-    ]
+    """Hash each node's canonical conditions by term identity.
 
-
-def _partition_by_destination_quotient(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    conditions: Sequence[str],
-) -> list[SymmetryClass]:
-    """Canonical-form hashing up to destination-index permutation.
-
-    Like :func:`_partition_by_canonical_hash`, but the hashed conditions are
-    the destination-canonicalized ones.  An eligibility flag keeps nodes
-    whose conditions fell back to their raw form (destination used outside
-    the eligible atom shapes) from ever sharing a class with canonicalized
-    ones — equal raw terms still merge, which is the plain hash quotient.
+    The hashed conditions are :func:`canonical_node_conditions`: the raw
+    conditions, or — under a declared destination symmetry — their
+    destination-canonicalized form.  An eligibility flag keeps nodes whose
+    conditions fell back to their raw form (no marker, or destination used
+    outside the eligible atom shapes) from ever sharing a class with
+    canonicalized ones — equal raw terms still merge, which is the plain
+    hash quotient.
     """
     marker = annotated.destination_symmetry
-    assert marker is not None
     requested = set(conditions)
     groups: dict[Hashable, list[str]] = {}
     built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
     witnesses: dict[Hashable, dict[str, tuple[int, ...]]] = {}
     for node in nodes:
         node_vcs, witness = canonical_node_conditions(annotated, node, delay=delay)
+        # Hash-consing makes term_id a process-stable structural fingerprint:
+        # equal keys ⟺ the canonical conditions are the same Term objects.
         key = (witness is not None,) + tuple(
             (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
             for vc in node_vcs

@@ -14,14 +14,10 @@ skips that engine) and runs each point through a
 :class:`~repro.verify.Session`, streaming per-condition events to an
 optional ``on_event`` observer.  Benchmarks are constructed through
 :mod:`repro.networks.registry`, the single validated build path.
-
-The legacy :class:`SweepSettings` record is a deprecated shim that converts
-its knobs into the equivalent strategy pair.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -129,70 +125,6 @@ DEFAULT_MODULAR = Modular()
 DEFAULT_MONOLITHIC = Monolithic(timeout=60.0)
 
 
-@dataclass
-class SweepSettings:
-    """Deprecated shim: legacy sweep knobs, now a strategy-pair factory.
-
-    Use :class:`repro.verify.Modular` / :class:`repro.verify.Monolithic`
-    strategy objects instead — they carry every engine knob (including
-    ``backend`` and ``spot_check_seed``, which this record never plumbed
-    through).
-    """
-
-    #: Wall-clock budget for each monolithic check (the paper used 2 hours).
-    monolithic_timeout: float = 60.0
-    #: Process count for modular checks (1 = sequential).
-    jobs: int = 1
-    #: Skip the monolithic baseline entirely (for quick modular-only sweeps).
-    run_monolithic: bool = True
-    #: Skip the modular run (for monolithic-only ablations).
-    run_modular: bool = True
-    #: Symmetry-reduction mode for modular checks ("off" | "classes" | "spot-check").
-    symmetry: str = "off"
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "SweepSettings is deprecated; pass repro.verify Modular/Monolithic "
-            "strategies to the sweep helpers instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-    def strategies(self) -> tuple[Modular | None, Monolithic | None]:
-        """The equivalent strategy pair."""
-        modular = (
-            # The legacy sweep treated jobs <= 0 as "run sequentially".
-            Modular(symmetry=self.symmetry, parallel=max(1, self.jobs))
-            if self.run_modular
-            else None
-        )
-        monolithic = Monolithic(timeout=self.monolithic_timeout) if self.run_monolithic else None
-        return modular, monolithic
-
-
-def _resolve_strategies(
-    modular: Modular | None,
-    monolithic: Monolithic | None,
-    settings: SweepSettings | None,
-) -> tuple[Modular | None, Monolithic | None]:
-    if settings is None and isinstance(modular, SweepSettings):
-        # Legacy callers passed SweepSettings positionally in the slot the
-        # strategy pair now occupies; honour it so the deprecation shim
-        # keeps its compatibility promise.  Anything else riding along in
-        # the next positional slot (the old signatures' ``experiment``)
-        # cannot be placed and must not be silently dropped.
-        if not isinstance(monolithic, (Monolithic, type(None))):
-            raise TypeError(
-                "legacy positional SweepSettings call also passed "
-                f"{monolithic!r} positionally; pass experiment/parameters by "
-                "keyword (or migrate to Modular/Monolithic strategies)"
-            )
-        settings = modular
-    if settings is not None:
-        return settings.strategies()
-    return modular, monolithic
-
-
 def run_point(
     experiment: str,
     benchmark_name: str,
@@ -202,7 +134,6 @@ def run_point(
     monolithic: Monolithic | None = DEFAULT_MONOLITHIC,
     parameters: dict[str, object] | None = None,
     on_event: EventObserver | None = None,
-    settings: SweepSettings | None = None,
     lint: str | None = None,
 ) -> ExperimentResult:
     """Run one (benchmark, size) point under the given strategies.
@@ -211,20 +142,11 @@ def run_point(
     engine's stream is routed through ``on_event`` — modular events arrive
     per condition as batches are discharged (live even for parallel runs),
     the monolithic baseline emits its single whole-network verdict event —
-    so ``--progress`` consumers see baseline verdicts too.  ``settings`` is
-    the deprecated legacy knob record and overrides both strategies when
-    passed.  ``lint`` ("warn" | "strict") runs the static-analysis passes
-    once, before the first engine dispatches (strict mode raises
+    so ``--progress`` consumers see baseline verdicts too.  ``lint``
+    ("warn" | "strict") runs the static-analysis passes once, before the
+    first engine dispatches (strict mode raises
     :class:`~repro.errors.AnalysisError` with zero solver work).
     """
-    if isinstance(modular, SweepSettings):
-        # Legacy positional call run_point(exp, name, annotated, nodes,
-        # settings, parameters): settings lands in the modular slot (handled
-        # by _resolve_strategies) and parameters in the monolithic slot.
-        if parameters is None and isinstance(monolithic, dict):
-            parameters = monolithic
-        monolithic = None
-    modular, monolithic = _resolve_strategies(modular, monolithic, settings)
     result = ExperimentResult(
         experiment=experiment,
         benchmark=benchmark_name,
@@ -257,11 +179,9 @@ def sweep_fattree(
     monolithic: Monolithic | None = DEFAULT_MONOLITHIC,
     experiment: str = "figure14",
     on_event: EventObserver | None = None,
-    settings: SweepSettings | None = None,
     lint: str | None = None,
 ) -> list[ExperimentResult]:
     """Sweep one fattree benchmark over a list of pod counts ``k``."""
-    modular, monolithic = _resolve_strategies(modular, monolithic, settings)
     results: list[ExperimentResult] = []
     for pods in pod_counts:
         benchmark = registry.build(f"fattree/{policy}", pods=pods, all_pairs=all_pairs)
@@ -288,11 +208,9 @@ def sweep_wan(
     monolithic: Monolithic | None = DEFAULT_MONOLITHIC,
     experiment: str = "internet2",
     on_event: EventObserver | None = None,
-    settings: SweepSettings | None = None,
     lint: str | None = None,
 ) -> list[ExperimentResult]:
     """Sweep the BlockToExternal benchmark over external-peer counts."""
-    modular, monolithic = _resolve_strategies(modular, monolithic, settings)
     results: list[ExperimentResult] = []
     for peers in peer_counts:
         benchmark = registry.build(
@@ -320,11 +238,9 @@ def scaling_comparison(
     modular: Modular | None = DEFAULT_MODULAR,
     monolithic: Monolithic | None = DEFAULT_MONOLITHIC,
     on_event: EventObserver | None = None,
-    settings: SweepSettings | None = None,
     lint: str | None = None,
 ) -> list[ExperimentResult]:
     """The Figure 1 sweep: modular vs monolithic time as the fattree grows."""
-    modular, monolithic = _resolve_strategies(modular, monolithic, settings)
     return sweep_fattree(
         policy,
         pod_counts,

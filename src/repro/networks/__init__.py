@@ -21,7 +21,6 @@ from repro.networks.benchmarks import (
     HIJACKER,
     POLICIES,
     FattreeBenchmark,
-    build_benchmark,
     build_hijack,
     build_length,
     build_reach,
@@ -58,7 +57,6 @@ __all__ = [
     "AGGREGATION",
     "EDGE",
     "FattreeBenchmark",
-    "build_benchmark",
     "build_reach",
     "build_length",
     "build_valley_freedom",

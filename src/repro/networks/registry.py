@@ -1,9 +1,7 @@
 """The benchmark registry: every verifiable network behind one named path.
 
-Harness sweeps, the CLI, the benchmark suite and the tests all used to
-construct networks through ad-hoc dispatchers (``build_benchmark`` for
-fattrees, direct builder calls for the WAN and ghost networks).  The
-registry replaces them with a single namespace of ``family/property`` names —
+Harness sweeps, the CLI, the benchmark suite and the tests all construct
+networks through one namespace of ``family/property`` names —
 
 * ``fattree/reach``, ``fattree/length``, ``fattree/valley_freedom``,
   ``fattree/hijack`` (the all-pairs ``Ap`` variants via ``all_pairs=True``);

@@ -83,25 +83,25 @@ class Topology:
 
     def successors(self, node: str) -> tuple[str, ...]:
         """Out-neighbours of ``node``."""
-        self._check_node(node)
+        self._require_node(node)
         return tuple(self._successors[node])
 
     def predecessors(self, node: str) -> tuple[str, ...]:
         """In-neighbours of ``node`` (the ``preds`` function of the paper)."""
-        self._check_node(node)
+        self._require_node(node)
         return tuple(self._predecessors[node])
 
     def in_degree(self, node: str) -> int:
-        self._check_node(node)
+        self._require_node(node)
         return len(self._predecessors[node])
 
     def out_degree(self, node: str) -> int:
-        self._check_node(node)
+        self._require_node(node)
         return len(self._successors[node])
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         """The component "centered at" ``node``: every edge ending at it."""
-        self._check_node(node)
+        self._require_node(node)
         return tuple((source, node) for source in self._predecessors[node])
 
     # -- analyses ----------------------------------------------------------------
@@ -113,7 +113,7 @@ class Topology:
         a route *originating* at ``source`` needs to reach each node — exactly
         the quantity used for witness times.
         """
-        self._check_node(source)
+        self._require_node(source)
         step = self.predecessors if reverse else self.successors
         # NOTE: routes propagate along edges, so the nodes that *hear* a route
         # originated at `source` are its successors; reverse=False is the
@@ -152,7 +152,7 @@ class Topology:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _check_node(self, node: str) -> None:
+    def _require_node(self, node: str) -> None:
         if node not in self._successors:
             raise RoutingError(f"unknown node {node!r}")
 

@@ -44,11 +44,10 @@ satisfiability of queries that do not assume ``a``; learned clauses
 mentioning ``¬a`` are entailed by the database and simply become inert once
 ``a`` is no longer assumed.
 
-**Class-canonical naming contract.**  The symmetry-aware checker
-(:mod:`repro.core.symmetry`) builds verification conditions with
-``naming="class"`` (:mod:`repro.core.conditions`): query routes are named by
-predecessor *position*, so every member of a symmetry class produces the
-*identical* hash-consed terms.  For this backend that means one SAT scope
+**Positional naming contract.**  Verification conditions
+(:mod:`repro.core.conditions`) name query routes by predecessor *position*,
+so every member of a symmetry class (:mod:`repro.core.symmetry`) produces
+the *identical* hash-consed terms.  For this backend that means one SAT scope
 serves the whole class — the representative's check encodes and ships the
 clause cone once, and any further member query (the ``spot-check`` mode)
 re-assumes the same activation literals against the same scope, reusing its

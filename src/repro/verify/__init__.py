@@ -25,10 +25,6 @@ Quickstart::
         for event in session.stream():               # streaming progress
             print(event.node, event.condition, event.holds)
         report = session.report
-
-The legacy ``repro.core.check_modular``/``check_monolithic``/
-``check_strawperson`` functions and ``repro.harness.SweepSettings`` are
-deprecated shims over this API and produce identical verdicts.
 """
 
 from repro.verify.reports import Report, VERDICTS, is_report

@@ -2,27 +2,22 @@
 
 A session binds an annotated network to a :class:`~repro.verify.strategies
 .Strategy` and owns the solver resources the strategy needs — most
-importantly the :class:`~repro.smt.incremental.IncrementalSolver` whose
-lifetime, under the legacy ``check_modular`` API, was implicitly tied to the
-process.  Owning the solver at session granularity is what enables
-cross-run reuse policies the process-global solver cannot express, e.g. the
-``persistent`` backend's learned-clause carry-over across SAT scopes *and*
-across whole runs (a PR 2 follow-up).
+importantly the :class:`~repro.smt.incremental.IncrementalSolver`.  Owning
+the solver at session granularity is what enables cross-run reuse policies
+the process-global solver cannot express, e.g. the ``persistent`` backend's
+learned-clause carry-over across SAT scopes *and* across whole runs.
 
 Sessions stream: :meth:`Session.stream` is a generator of per-condition
 :class:`~repro.core.results.ConditionResult` events, yielded batch by batch
-(per node, or per symmetry class) as the engine discharges them — live even
-for parallel runs, where each worker batch is yielded the moment it
-completes.  The harness uses this for progress output; a fail-fast consumer
-can simply stop iterating at the first failing event (in-flight parallel
-dispatch is cancelled and the session solver recovered), or ask the engine
-to do it with ``Modular(stop_on_failure=True)``.  Exhausting the stream
-finalizes :attr:`Session.report`; :meth:`Session.run` is the drain-and-
-return convenience used by non-streaming callers.
-
-The legacy ``check_modular``/``check_monolithic``/``check_strawperson``
-functions are deprecation shims over this class and produce identical
-verdicts (their engines *are* these engines).
+(one batch per symmetry class — one node per batch with ``symmetry="off"``)
+as the engine discharges them — live even for parallel runs, where each
+worker batch is yielded the moment it completes.  The harness uses this for
+progress output; a fail-fast consumer can simply stop iterating at the first
+failing event (in-flight parallel dispatch is cancelled and the session
+solver recovered), or ask the engine to do it with
+``Modular(stop_on_failure=True)``.  Exhausting the stream finalizes
+:attr:`Session.report`; :meth:`Session.run` is the drain-and-return
+convenience used by non-streaming callers.
 """
 
 from __future__ import annotations
@@ -135,8 +130,8 @@ class Session:
         unless the caller supplied one — which must then have
         ``persist_learned`` enabled, or the advertised carry-over would
         silently not happen.  ``incremental`` backends use the shared
-        per-process solver exactly like the legacy checker when no solver
-        was supplied, and pin batches to a supplied one.  ``fresh`` uses no
+        per-process solver when no solver was supplied, and pin batches to
+        a supplied one.  ``fresh`` uses no
         incremental solver at all, so supplying one is an error rather
         than a silent no-op.
         """
@@ -192,7 +187,8 @@ class Session:
     ) -> Iterator[ConditionResult]:
         """One verification run as a stream of per-condition events.
 
-        Events arrive in discharge order (per node, or per symmetry class);
+        Events arrive in discharge order (batch by batch, one symmetry class
+        per batch);
         parallel runs yield each batch's events the moment its worker
         finishes, so progress is live even while the pool is still working.
         Exhausting the iterator finalizes :attr:`report`.  Abandoning the
@@ -281,9 +277,7 @@ def verify(
     *,
     lint: str | None = None,
 ) -> Any:
-    """One-shot convenience: run ``strategy`` over ``target`` in a fresh session.
-
-    The unified replacement for the legacy ``check_*`` family::
+    """One-shot convenience: run ``strategy`` over ``target`` in a fresh session::
 
         verify(annotated)                            # modular, defaults
         verify(annotated, Modular(symmetry="classes"))
@@ -322,8 +316,8 @@ def _consume_batches(
 ) -> Iterator[ConditionResult]:
     """Yield a parallel batch stream's events live; return the aggregates.
 
-    The single consumption protocol for both parallel paths (per-node and
-    per-class): events are yielded the moment a batch arrives, worker cache
+    The consumption protocol of the parallel class stream: events are
+    yielded the moment a batch arrives, worker cache
     deltas are summed, and with ``strategy.stop_on_failure`` the stream is
     stopped after the first failing batch.  Closing ``batches`` in all exit
     paths is what stops dispatch and reaps the pool.  The ``yield from``
@@ -448,15 +442,19 @@ def modular_events(
 ) -> Iterator[ConditionResult]:
     """Algorithm 1 (``CheckMod``) as a streaming engine.
 
-    Node/class scheduling, symmetry partitioning, parallel dispatch, report
-    ordering and cache-statistics collection are identical to the legacy
-    ``check_modular`` — the shim delegates here, and the byte-identical-
-    verdicts test in ``tests/verify/test_session.py`` holds both to it.
-    Batches are yielded as they complete — parallel batches arrive in
-    completion order, the moment each worker finishes — and each batch
-    opens a fresh SAT scope on its backend.  Final reports are re-sorted to
-    the deterministic node selection order regardless of completion order,
-    and per-worker cache deltas are summed into ``backend_cache``.
+    One scheduling flow serves every symmetry mode: the selected nodes are
+    partitioned into classes (:func:`repro.core.symmetry.partition_nodes`;
+    ``symmetry="off"`` is the singleton partition), the delta filter drops
+    reusable classes, and the remainder is checked class by class with
+    :func:`repro.core.checker.check_class` — sequentially, or streamed from
+    the fork pool under the class scheduler.  Batches are yielded as they
+    complete — parallel batches arrive in completion order, the moment each
+    worker finishes — and each batch opens a fresh SAT scope on its backend.
+    Final reports are re-sorted to the deterministic node selection order
+    regardless of completion order, and per-worker cache deltas are summed
+    into ``backend_cache``.  Every parallel run reports its scheduler
+    statistics (``scheduler``); ``symmetry_classes`` stays ``None`` for
+    ``symmetry="off"``.
 
     With ``strategy.stop_on_failure`` the engine stops scheduling work after
     the first batch that reports a failing condition: queued parallel items
@@ -466,15 +464,15 @@ def modular_events(
     in-flight batches discarded with the stopped pool).
 
     With ``strategy.delta == "reuse"`` the engine first loads the fingerprint
-    store and computes every selected node's dependency fingerprint; nodes
-    (or, under symmetry, whole classes, keyed by their representative) whose
-    fingerprints match recorded passing verdicts are emitted up front as
-    zero-cost ``reused`` events, and only the changed remainder reaches the
-    scheduling machinery above.  On normal completion the store is
-    re-recorded with this run's fully-passing nodes and atomically saved;
-    an abandoned stream leaves the store file untouched.
+    store and computes every selected node's dependency fingerprint; classes
+    (keyed by their representative) whose fingerprints match recorded
+    passing verdicts are emitted up front as zero-cost ``reused`` events,
+    and only the changed remainder reaches the scheduling machinery above.
+    On normal completion the store is re-recorded with this run's
+    fully-passing nodes and atomically saved; an abandoned stream leaves the
+    store file untouched.
     """
-    from repro.core.checker import check_class, check_node
+    from repro.core.checker import check_class
 
     annotated = session.annotated
     selected = _selected_nodes(annotated, nodes)
@@ -482,7 +480,6 @@ def modular_events(
     options = strategy.engine_options()
 
     started = _time.perf_counter()
-    class_count: int | None = None
     cache_before: dict[str, int] | None = None
     cache_delta: dict[str, int] | None = None
     scheduler_stats = None
@@ -506,8 +503,8 @@ def modular_events(
         # shared per-process solver's are the ones the run mutates.
         return solver.cache_statistics() if solver is not None else process_cache_statistics()
 
-    def checked(check: Any, *arguments: Any) -> Any:
-        """Run one batch; pin the session solver and keep it recoverable.
+    def checked(symmetry_class: Any) -> list[NodeReport]:
+        """Check one class; pin the session solver and keep it recoverable.
 
         The checker only restores backends it acquired itself, so a crash
         in a batch pinned to the session-owned solver must be recovered
@@ -515,118 +512,85 @@ def modular_events(
         and runs of this session.
         """
         if solver is None:
-            return check(*arguments, **options)
+            return check_class(annotated, symmetry_class, **options)
         solver.new_scope()
         try:
-            return check(*arguments, solver=solver, **options)
+            return check_class(annotated, symmetry_class, solver=solver, **options)
         except BaseException:
             solver.recover()
             raise
 
     try:
-        if strategy.symmetry == "off":
-            recheck = list(selected)
-            if store is not None:
-                recheck = []
-                for node in selected:
-                    if _store_reuses(store, annotated, strategy, node, dependencies[node], kinds):
-                        report = _reused_report(node, kinds)
+        classes = partition_nodes(
+            annotated,
+            selected,
+            delay=strategy.delay,
+            conditions=strategy.conditions,
+            symmetry=strategy.symmetry,
+        )
+        class_count = len(classes)
+        if strategy.symmetry == "spot-check":
+            # Spot-member selection stays ahead of the delta filter so the
+            # rng stream — and hence which members a cold and a warm run
+            # re-verify — is identical whatever the store contains.
+            rng = random.Random(strategy.spot_check_seed)
+            for symmetry_class in classes:
+                if len(symmetry_class) > 1:
+                    symmetry_class.spot_member = rng.choice(symmetry_class.members[1:])
+        if store is not None:
+            # A class is reusable iff its representative's fingerprints are:
+            # class membership is keyed on term-identical canonical
+            # conditions, so the representative's dependency fingerprint
+            # *is* every member's.
+            recheck = []
+            for symmetry_class in classes:
+                representative = symmetry_class.representative
+                if _store_reuses(
+                    store, annotated, strategy, representative,
+                    dependencies[representative], kinds,
+                ):
+                    for member in symmetry_class.members:
+                        report = _reused_report(
+                            member,
+                            kinds,
+                            propagated_from=None if member == representative else representative,
+                        )
                         reports.append(report)
                         yield from report.results
-                    else:
-                        recheck.append(node)
-            if strategy.parallel > 1:
-                if recheck:
-                    from repro.core.parallel import iter_node_batches
+                else:
+                    recheck.append(symmetry_class)
+            classes = recheck
+        if strategy.parallel > 1:
+            if classes:
+                from repro.core.parallel import SchedulerStats, iter_class_batches
 
-                    fresh, cache_delta, stopped_early = yield from _consume_batches(
-                        iter_node_batches(
-                            annotated, recheck, jobs=strategy.parallel, **options
-                        ),
-                        strategy,
-                    )
-                    reports.extend(fresh)
-                elif strategy.incremental:
-                    # Nothing to dispatch: no workers ran, so the summed
-                    # worker cache delta is (exactly) zero, not unknown.
-                    cache_delta = {}
-            else:
-                if strategy.incremental:
-                    cache_before = snapshot()
-                for node in recheck:
-                    report = checked(check_node, annotated, node)
-                    reports.append(report)
-                    yield from report.results
-                    if strategy.stop_on_failure and _batch_failed([report]):
-                        stopped_early = True
-                        break
+                scheduler_stats = SchedulerStats()
+                fresh, cache_delta, stopped_early = yield from _consume_batches(
+                    iter_class_batches(
+                        annotated,
+                        classes,
+                        jobs=strategy.parallel,
+                        stats=scheduler_stats,
+                        **options,
+                    ),
+                    strategy,
+                )
+                reports.extend(fresh)
+            elif strategy.incremental:
+                # Nothing to dispatch: no workers ran, so the summed worker
+                # cache delta is (exactly) zero, not unknown.
+                cache_delta = {}
         else:
-            classes = partition_nodes(
-                annotated, selected, delay=strategy.delay, conditions=strategy.conditions
-            )
-            class_count = len(classes)
-            if strategy.symmetry == "spot-check":
-                # Spot-member selection stays ahead of the delta filter so the
-                # rng stream — and hence which members a cold and a warm run
-                # re-verify — is identical whatever the store contains.
-                rng = random.Random(strategy.spot_check_seed)
-                for symmetry_class in classes:
-                    if len(symmetry_class) > 1:
-                        symmetry_class.spot_member = rng.choice(symmetry_class.members[1:])
-            if store is not None:
-                # A class is reusable iff its representative's fingerprints
-                # are: class membership is keyed on term-identical canonical
-                # conditions, so the representative's dependency fingerprint
-                # *is* every member's.
-                recheck_classes = []
-                for symmetry_class in classes:
-                    representative = symmetry_class.representative
-                    if _store_reuses(
-                        store, annotated, strategy, representative,
-                        dependencies[representative], kinds,
-                    ):
-                        for member in symmetry_class.members:
-                            report = _reused_report(
-                                member,
-                                kinds,
-                                propagated_from=(
-                                    None if member == representative else representative
-                                ),
-                            )
-                            reports.append(report)
-                            yield from report.results
-                    else:
-                        recheck_classes.append(symmetry_class)
-                classes = recheck_classes
-            if strategy.parallel > 1:
-                if classes:
-                    from repro.core.parallel import SchedulerStats, iter_class_batches
-
-                    scheduler_stats = SchedulerStats()
-                    fresh, cache_delta, stopped_early = yield from _consume_batches(
-                        iter_class_batches(
-                            annotated,
-                            classes,
-                            jobs=strategy.parallel,
-                            stats=scheduler_stats,
-                            **options,
-                        ),
-                        strategy,
-                    )
-                    reports.extend(fresh)
-                elif strategy.incremental:
-                    cache_delta = {}
-            else:
-                if strategy.incremental:
-                    cache_before = snapshot()
-                for symmetry_class in classes:
-                    class_reports = checked(check_class, annotated, symmetry_class)
-                    reports.extend(class_reports)
-                    for report in class_reports:
-                        yield from report.results
-                    if strategy.stop_on_failure and _batch_failed(class_reports):
-                        stopped_early = True
-                        break
+            if strategy.incremental:
+                cache_before = snapshot()
+            for symmetry_class in classes:
+                class_reports = checked(symmetry_class)
+                reports.extend(class_reports)
+                for report in class_reports:
+                    yield from report.results
+                if strategy.stop_on_failure and _batch_failed(class_reports):
+                    stopped_early = True
+                    break
         # Classes (and the delta layer's reused-first emission) interleave the
         # node order; restore the selection order so reports (and
         # counterexample enumeration) are reproducible.
@@ -661,7 +625,7 @@ def modular_events(
             wall_time=_time.perf_counter() - started,
             parallelism=max(1, strategy.parallel),
             symmetry=strategy.symmetry,
-            symmetry_classes=class_count,
+            symmetry_classes=None if strategy.symmetry == "off" else class_count,
             backend_cache=cache_delta,
             stopped_early=stopped_early,
             conditions_skipped=conditions_skipped,

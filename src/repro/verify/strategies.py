@@ -3,11 +3,9 @@
 A strategy is a frozen, self-validating dataclass bundling every knob of one
 verification engine — the paper's comparison harness runs the same annotated
 network under several of them (modular vs monolithic vs the §2.2
-strawperson).  Strategies replace the kwarg forests of the legacy
-``check_modular``/``check_monolithic``/``check_strawperson`` entry points:
-a knob that exists on the strategy *provably* reaches the engine, because
-the engine receives the whole object (see the regression test in
-``tests/verify/test_strategies.py``).
+strawperson).  A knob that exists on the strategy *provably* reaches the
+engine, because the engine receives the whole object (see the regression
+test in ``tests/verify/test_strategies.py``).
 
 Strategies are registered by name in :data:`STRATEGY_REGISTRY`, so the CLI
 and harness can construct them from plain strings (``strategy("modular",
@@ -122,17 +120,18 @@ def available_strategies() -> tuple[str, ...]:
 class Modular(Strategy):
     """The paper's modular checking procedure (Algorithm 1), fully knobbed.
 
-    ``symmetry`` selects the PR 2 reduction mode (one of
-    :data:`~repro.core.symmetry.SYMMETRY_MODES`); ``backend`` the SMT
-    backend (:data:`BACKENDS`); ``parallel`` the worker-process count;
+    ``symmetry`` selects the reduction mode (one of
+    :data:`~repro.core.symmetry.SYMMETRY_MODES`; ``"off"`` checks every node
+    as its own singleton class); ``backend`` the SMT backend
+    (:data:`BACKENDS`); ``parallel`` the worker-process count;
     ``spot_check_seed`` seeds the deterministic choice of re-verified class
     members in ``spot-check`` mode.  ``delay`` and ``conditions`` mirror the
-    per-node knobs of :func:`repro.core.check_node`.
+    per-batch knobs of :func:`repro.core.check_class`.
 
     Two fail-fast granularities: ``fail_fast`` (per batch) skips a node's
     remaining conditions after its first failure, mirroring Algorithm 1;
     ``stop_on_failure`` (run level) additionally stops scheduling *further*
-    nodes/classes once any completed batch reports a failing condition —
+    classes once any completed batch reports a failing condition —
     parallel runs stop dispatching queued work items and terminate the pool,
     and the report records ``stopped_early``/``conditions_skipped``.
 
@@ -210,10 +209,13 @@ class Modular(Strategy):
         return self.backend != "fresh"
 
     def engine_options(self) -> dict[str, Any]:
-        """The per-batch kwargs handed to ``check_node``/``check_class``.
+        """The per-batch kwargs handed to every ``check_class`` call.
 
-        Every :class:`Modular` field must either appear here or steer the
-        engine loop itself (``symmetry``, ``backend``, ``parallel``,
+        The engine has one batch type — the symmetry class, a singleton per
+        node under ``symmetry="off"`` — so these kwargs reach the checker
+        the same way in every mode, sequential or parallel.  Every
+        :class:`Modular` field must either appear here or steer the engine
+        loop itself (``symmetry``, ``backend``, ``parallel``,
         ``stop_on_failure``, ``spot_check_seed``, ``delta``, ``store``); the
         strategy regression test enforces that no field is silently dropped.
         """

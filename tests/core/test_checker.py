@@ -126,22 +126,34 @@ class TestRunningExample:
             verify(example.network, Strawperson(interfaces={"n": lambda r: SymBool.true()}))
 
 
+def singleton(node):
+    """The one-node class ``symmetry="off"`` checks ``node`` as."""
+    return core.SymmetryClass(key=node, members=(node,))
+
+
 class TestCheckerMechanics:
-    def test_check_node_fail_fast_stops_after_first_failure(self):
+    def test_check_class_fail_fast_stops_after_first_failure(self):
         example = build_running_example("symbolic")
         annotated = core.annotate(example.network, figure9_interfaces())
-        report = core.check_node(annotated, "v", fail_fast=True)
+        [report] = core.check_class(annotated, singleton("v"), fail_fast=True)
         assert len(report.results) == 1
-        report_full = core.check_node(annotated, "v", fail_fast=False)
+        [report_full] = core.check_class(annotated, singleton("v"), fail_fast=False)
         assert len(report_full.results) == 3
 
     def test_check_selected_conditions_only(self):
         example = build_running_example("symbolic")
         annotated = core.annotate(example.network, figure7_interfaces())
-        report = core.check_node(annotated, "v", conditions=(core.INITIAL,))
+        [report] = core.check_class(annotated, singleton("v"), conditions=(core.INITIAL,))
         assert [result.condition for result in report.results] == [core.INITIAL]
-        with pytest.raises(VerificationError):
-            core.check_node(annotated, "v", conditions=("bogus",))
+
+    def test_unknown_condition_kinds_are_rejected_not_vacuously_passed(self):
+        example = build_running_example("symbolic")
+        annotated = core.annotate(example.network, figure7_interfaces())
+        with pytest.raises(VerificationError, match="unknown condition kinds"):
+            core.check_class(annotated, singleton("v"), conditions=("bogus",))
+        # An unknown kind next to a known one must not be silently dropped.
+        with pytest.raises(VerificationError, match="unknown condition kinds"):
+            core.check_class(annotated, singleton("v"), conditions=(core.INITIAL, "bogus"))
 
     def test_verify_subset_of_nodes(self):
         example = build_running_example("symbolic")

@@ -5,11 +5,7 @@ import multiprocessing
 import pytest
 
 from repro.core.counterexample import Counterexample
-from repro.core.parallel import (
-    check_classes_in_parallel,
-    check_nodes_in_parallel,
-    iter_node_batches,
-)
+from repro.core.parallel import check_classes_in_parallel, iter_class_batches
 from repro.core.results import (
     ConditionResult,
     ModularReport,
@@ -18,9 +14,17 @@ from repro.core.results import (
     merge_reports,
     percentile,
 )
+from repro.core.symmetry import partition_nodes
 from repro import core
 from repro.routing import path_topology, shortest_path_network
 from repro.verify import Modular, verify
+
+
+def singletons(annotated, nodes=None):
+    """The trivial partition ``symmetry="off"`` checks: one class per node."""
+    return partition_nodes(
+        annotated, annotated.nodes if nodes is None else nodes, symmetry="off"
+    )
 
 
 class TestCounterexampleRendering:
@@ -108,9 +112,9 @@ class TestParallelRunner:
 
     def test_parallel_runner_returns_one_report_per_node(self):
         annotated = self._annotated()
-        reports, totals = check_nodes_in_parallel(
+        reports, totals = check_classes_in_parallel(
             annotated,
-            annotated.nodes,
+            singletons(annotated),
             delay=0,
             jobs=2,
             conditions=core.CONDITION_KINDS,
@@ -124,9 +128,9 @@ class TestParallelRunner:
 
     def test_single_job_falls_back_to_sequential(self):
         annotated = self._annotated()
-        reports, totals = check_nodes_in_parallel(
+        reports, totals = check_classes_in_parallel(
             annotated,
-            ("n1",),
+            singletons(annotated, ("n1",)),
             delay=0,
             jobs=1,
             conditions=core.CONDITION_KINDS,
@@ -157,9 +161,9 @@ class TestParallelRunner:
         )
         annotated = self._annotated()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-            reports, totals = check_nodes_in_parallel(
+            reports, totals = check_classes_in_parallel(
                 annotated,
-                annotated.nodes,
+                singletons(annotated),
                 delay=0,
                 jobs=2,
                 conditions=core.CONDITION_KINDS,
@@ -211,9 +215,9 @@ class TestParallelRunner:
             {node: core.globally(exploding_predicate) for node in topology.nodes},
         )
         with pytest.raises(RuntimeError, match="worker exploded"):
-            check_nodes_in_parallel(
+            check_classes_in_parallel(
                 annotated,
-                annotated.nodes,
+                singletons(annotated),
                 delay=0,
                 jobs=2,
                 conditions=core.CONDITION_KINDS,
@@ -242,9 +246,9 @@ class TestStreamingDispatcher:
     def test_batches_carry_submission_indices_and_deltas(self):
         annotated = self._annotated()
         batches = list(
-            iter_node_batches(
+            iter_class_batches(
                 annotated,
-                annotated.nodes,
+                singletons(annotated),
                 delay=0,
                 jobs=2,
                 conditions=core.CONDITION_KINDS,
@@ -259,9 +263,9 @@ class TestStreamingDispatcher:
 
     def test_closing_the_stream_stops_dispatch_without_orphans(self):
         annotated = self._annotated(length=8)
-        batches = iter_node_batches(
+        batches = iter_class_batches(
             annotated,
-            annotated.nodes,
+            singletons(annotated),
             delay=0,
             jobs=2,
             conditions=core.CONDITION_KINDS,
@@ -274,8 +278,6 @@ class TestStreamingDispatcher:
     def test_class_barrier_drain_matches_node_order_contract(self):
         """check_classes_in_parallel (the barrier drain over class batches)
         returns member reports in class order with summed worker deltas."""
-        from repro.core.symmetry import partition_nodes
-
         annotated = self._annotated()
         classes = partition_nodes(annotated, annotated.nodes, delay=0)
         reports, totals = check_classes_in_parallel(

@@ -226,6 +226,23 @@ class TestSkewedPartition:
             )
         _assert_no_orphaned_workers()
 
+    def test_crash_closes_the_pool_instead_of_killing_busy_workers(self, monkeypatch):
+        """A worker killed while writing its result holds the result queue's
+        lock forever, and ``Pool.terminate()`` then deadlocks joining the
+        pool's task handler.  A crash must let the in-flight items finish."""
+        import multiprocessing.pool
+
+        terminated = []
+        original = multiprocessing.pool.Pool.terminate
+
+        def spy(pool):
+            terminated.append(pool)
+            return original(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
+        self.test_crash_propagates_through_split_plan()
+        assert terminated == []
+
     def test_degraded_run_matches_pool_window_accounting(self, monkeypatch):
         """Satellite contract: the sequential-degrade path records the same
         adaptive window accounting the pool path would have used."""

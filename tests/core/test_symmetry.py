@@ -19,6 +19,10 @@ def _fresh_process_solver():
     reset_process_solver()
 
 
+def _singleton(node):
+    return core.SymmetryClass(key=node, members=(node,))
+
+
 def _verdicts_for_modes(annotated, modes=("off", "classes", "spot-check"), **kwargs):
     verdicts = {}
     reports = {}
@@ -158,6 +162,46 @@ class TestFattreeHints:
         assert picked_first == picked_second
 
 
+class TestOffIsTheSingletonPartition:
+    def test_partition_off_is_one_singleton_per_node(self):
+        instance = registry.build("fattree/reach", pods=4).raw
+        nodes = instance.annotated.nodes
+        # The fattree carries a symmetry hint; "off" ignores it.
+        assert instance.annotated.symmetry_key is not None
+        classes = core.partition_nodes(instance.annotated, nodes, symmetry="off")
+        assert [cls.members for cls in classes] == [(node,) for node in nodes]
+        assert all(cls.conditions is None and cls.destination is None for cls in classes)
+
+    def test_partition_rejects_unknown_mode(self):
+        instance = registry.build("fattree/reach", pods=4).raw
+        with pytest.raises(VerificationError, match="symmetry mode"):
+            core.partition_nodes(instance.annotated, instance.annotated.nodes, symmetry="on")
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_off_discharges_every_condition_itself(self, parallel):
+        instance = registry.build("fattree/reach", pods=4).raw
+        nodes = instance.annotated.nodes
+        report = verify(instance.annotated, Modular(symmetry="off", parallel=parallel))
+        assert report.passed
+        assert tuple(report.node_reports) == nodes
+        assert report.conditions_discharged == report.conditions_checked == 3 * len(nodes)
+        assert all(
+            result.propagated_from is None
+            for node_report in report.node_reports.values()
+            for result in node_report.results
+        )
+        assert report.symmetry_classes is None
+        assert report.backend_cache is not None
+        assert report.backend_cache["scopes"] == len(nodes)
+        if parallel > 1:
+            # Parallel "off" runs go through the class scheduler too.
+            assert report.scheduler is not None
+            assert set(report.scheduler) == {"classes_stolen", "window", "workers"}
+            assert report.scheduler["classes_stolen"] == 0
+        else:
+            assert report.scheduler is None
+
+
 class TestGenericCanonicalHash:
     def test_running_example_agrees_with_off(self):
         example = build_running_example("symbolic")
@@ -223,7 +267,7 @@ class TestSolverRecovery:
 
         monkeypatch.setattr(CdclSolver, "solve", explode_once)
         with pytest.raises(RuntimeError, match="interrupted mid-solve"):
-            core.check_node(instance.annotated, instance.annotated.nodes[0])
+            core.check_class(instance.annotated, _singleton(instance.annotated.nodes[0]))
         # The shared solver was recovered: frames balanced, fresh scope.
         assert len(solver._frames) == 1
         report = verify(instance.annotated)
@@ -248,7 +292,9 @@ class TestSolverRecovery:
 
         monkeypatch.setattr(CdclSolver, "solve", explode)
         with pytest.raises(RuntimeError):
-            core.check_node(instance.annotated, instance.annotated.nodes[0], solver=pinned)
+            core.check_class(
+                instance.annotated, _singleton(instance.annotated.nodes[0]), solver=pinned
+            )
         # The checker must not recover() a solver it does not own: the
         # caller's pushed frame (and its assertions) survive the crash.
         assert pinned.assertions == (context,)

@@ -1,10 +1,7 @@
 """Tests for the experiment harness: sweeps, tables and result records."""
 
-import pytest
-
 from repro.harness import (
     ExperimentResult,
-    SweepSettings,
     figure14_table,
     format_table,
     ghost_state_table,
@@ -145,45 +142,6 @@ class TestSweeps:
         assert modular["delta"] == "reuse"
         assert modular["conditions_reused"] == warm_row["tp_reused"]
         assert modular["conditions_recheck"] == 0
-
-    def test_legacy_positional_sweep_settings_still_work(self):
-        from repro.harness import scaling_comparison
-
-        with pytest.warns(DeprecationWarning, match="SweepSettings"):
-            settings = SweepSettings(run_monolithic=False)
-        # Pre-redesign callers passed settings in the third positional slot.
-        results = scaling_comparison("reach", [4], settings)
-        assert results[0].modular is not None and results[0].monolithic is None
-
-    def test_legacy_positional_run_point_keeps_parameters(self):
-        benchmark = registry.build("fattree/reach", pods=4)
-        with pytest.warns(DeprecationWarning, match="SweepSettings"):
-            settings = SweepSettings(run_monolithic=False)
-        # Pre-redesign signature: run_point(exp, name, annotated, nodes,
-        # settings, parameters) — both trailing positionals must survive.
-        point = run_point(
-            "unit", benchmark.name, benchmark.annotated, 20, settings, {"pods": 4}
-        )
-        assert point.parameters == {"pods": 4}
-        assert point.modular is not None and point.monolithic is None
-
-    def test_legacy_positional_experiment_is_not_silently_dropped(self):
-        from repro.harness import scaling_comparison
-
-        with pytest.warns(DeprecationWarning, match="SweepSettings"):
-            settings = SweepSettings(run_monolithic=False)
-        # The old signatures took more positionals after settings; those
-        # cannot be placed in the new signature and must fail loudly
-        # instead of mislabeling every sweep point.
-        with pytest.raises(TypeError, match="positional"):
-            sweep_fattree("reach", [4], False, settings, "figure1")
-
-    def test_legacy_sweep_settings_still_work_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="SweepSettings"):
-            settings = SweepSettings(run_monolithic=False, symmetry="classes", jobs=1)
-        results = sweep_fattree("reach", [4], settings=settings)
-        assert results[0].modular.symmetry == "classes"
-        assert results[0].monolithic is None
 
 
 class TestTables:

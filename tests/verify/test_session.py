@@ -1,7 +1,6 @@
 """Tests for :class:`repro.verify.Session`: streaming, reports, persistence."""
 
 import multiprocessing
-import warnings
 
 import pytest
 
@@ -44,20 +43,6 @@ def _figure8_annotated():
 
 
 class TestByteIdenticalVerdicts:
-    def test_session_matches_legacy_check_modular_on_k4_spreach(self):
-        """Acceptance: Session(Modular(symmetry="classes")) ≡ legacy checker."""
-        benchmark = registry.build("fattree/reach", pods=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = core.check_modular(benchmark.annotated, symmetry="classes")
-        reset_process_solver()
-        with Session(benchmark.annotated, Modular(symmetry="classes")) as session:
-            modern = session.run()
-        assert condition_verdicts(legacy) == condition_verdicts(modern)
-        assert legacy.passed and modern.passed
-        assert modern.symmetry_classes == legacy.symmetry_classes
-        assert tuple(modern.node_reports) == tuple(legacy.node_reports)
-
     @pytest.mark.parametrize("backend", ["incremental", "persistent", "fresh"])
     def test_backends_agree_on_verdicts(self, backend):
         benchmark = registry.build("fattree/reach", pods=4)

@@ -137,17 +137,18 @@ class TestRegistry:
 
 
 class TestEveryFieldReachesTheEngine:
-    """Regression for the SweepSettings knob-dropping bug.
+    """Every :class:`Modular` field provably reaches the engine.
 
-    The legacy sweep path silently dropped ``incremental`` and
-    ``spot_check_seed`` on the floor.  With strategy objects the engine
+    A knob record that is converted field by field can silently drop knobs
+    (an earlier sweep record lost ``incremental`` and ``spot_check_seed``
+    that way).  With strategy objects the engine
     receives the whole object; this test pins down, field by field, how each
     :class:`Modular` field steers the engine — and fails if a new field is
     added without wiring (and testing) it.
     """
 
     #: Fields consumed per batch via ``engine_options()`` (value must arrive
-    #: in the kwargs of check_node/check_class) vs fields steering the
+    #: in the kwargs of check_class) vs fields steering the
     #: engine loop itself (asserted individually below).
     OPTION_FIELDS = {"delay": 3, "conditions": ("initial",), "fail_fast": False}
     LOOP_FIELDS = {
@@ -170,13 +171,13 @@ class TestEveryFieldReachesTheEngine:
 
         import repro.core.checker as checker_module
 
-        original = checker_module.check_node
+        original = checker_module.check_class
 
-        def capture(annotated, node, **kwargs):
+        def capture(annotated, symmetry_class, **kwargs):
             captured.update(kwargs)
-            return original(annotated, node, **kwargs)
+            return original(annotated, symmetry_class, **kwargs)
 
-        monkeypatch.setattr(checker_module, "check_node", capture)
+        monkeypatch.setattr(checker_module, "check_class", capture)
         strategy_obj = Modular(**self.OPTION_FIELDS)
         with Session(benchmark.annotated, strategy_obj) as session:
             session.run()
@@ -190,13 +191,13 @@ class TestEveryFieldReachesTheEngine:
         captured = {}
         import repro.core.checker as checker_module
 
-        original = checker_module.check_node
+        original = checker_module.check_class
 
-        def capture(annotated, node, **kwargs):
+        def capture(annotated, symmetry_class, **kwargs):
             captured.update(kwargs)
-            return original(annotated, node, **kwargs)
+            return original(annotated, symmetry_class, **kwargs)
 
-        monkeypatch.setattr(checker_module, "check_node", capture)
+        monkeypatch.setattr(checker_module, "check_class", capture)
         with Session(benchmark.annotated, Modular(backend="fresh")) as session:
             session.run()
         assert captured["incremental"] is False
@@ -207,15 +208,13 @@ class TestEveryFieldReachesTheEngine:
 
         import repro.core.parallel as parallel_module
 
-        original = parallel_module.iter_node_batches
+        original = parallel_module.iter_class_batches
 
-        def capture(annotated, nodes, **kwargs):
+        def capture(annotated, classes, **kwargs):
             seen["jobs"] = kwargs.get("jobs")
-            return original(annotated, nodes, **kwargs)
+            return original(annotated, classes, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.core.parallel.iter_node_batches", capture
-        )
+        monkeypatch.setattr(parallel_module, "iter_class_batches", capture)
         with Session(benchmark.annotated, Modular(parallel=2)) as session:
             report = session.run()
         assert seen["jobs"] == 2
