@@ -134,7 +134,7 @@ class VerificationCondition:
     def check(self, solver: Any | None = None) -> ConditionResult:
         """Decide this condition and package the outcome.
 
-        ``solver`` optionally names a reusable SMT backend (typically the
+        ``solver`` optionally names a long-lived SMT backend (typically the
         per-process :func:`repro.smt.process_solver`); the query then runs in
         a push/pop frame on it, reusing encoded structure and learned clauses
         from earlier conditions.
@@ -374,15 +374,6 @@ class DestinationCanonicalizer:
         finally:
             sys.setrecursionlimit(limit)
         return dataclasses.replace(condition, assumptions=assumptions, goal=goal)
-
-    def rewrite_term(self, term: Term) -> Term:
-        """Canonicalize one bare term (the fingerprint layer's entry point)."""
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 20_000))
-        try:
-            return self._rewrite(term)
-        finally:
-            sys.setrecursionlimit(limit)
 
     # -- slot assignment ---------------------------------------------------------
 

@@ -1,9 +1,9 @@
-"""Stable content fingerprints for terms, conditions and node dependencies.
+"""Stable content fingerprints for terms, conditions and store identity.
 
 The delta re-verification layer (``Modular(delta="reuse")``) needs to decide,
-*before* discharging anything, which verification conditions are unchanged
-since an earlier run — possibly an earlier run in a different process.  This
-module computes the keys that decision is made on:
+*before* discharging anything, which verification conditions were already
+proved — possibly by an earlier run in a different process.  This module
+computes the keys that decision is made on:
 
 * :func:`fingerprint_term` — a structural SHA-256 digest of a term DAG.
   Hash-consing already gives every term a process-stable ``term_id`` (what
@@ -21,25 +21,17 @@ module computes the keys that decision is made on:
   erases node identity: isomorphic nodes share fingerprints, and a verdict
   cached for one is a verdict for all of them.
 
-* :func:`node_dependency_fingerprint` — a per-node digest covering exactly
-  the inputs the node's three conditions are built from: the node's own
-  interface and property, its policy (initial route, route update over the
-  canonical neighbour routes, route well-formedness), its neighbours'
-  interfaces in predecessor order, the network's symbolic constraints, and
-  the time widths/delay.  A node whose dependency fingerprint is unchanged
-  has unchanged conditions, so invalidation after a config edit is decided
-  without rebuilding (or discharging) any condition.  Editing one node's
-  annotation invalidates that node and its successors — the nodes whose
-  inductive conditions assume the edited interface — i.e. an O(neighbourhood)
-  set, not O(n).
+* :func:`node_condition_fingerprints` — the per-kind condition
+  fingerprints of one node, built on its destination-canonical conditions.
+  They are the *only* delta key: the hash is the proof obligation itself,
+  so a condition is reused exactly when the identical query was proved
+  before.  Editing one node's annotation changes the conditions of that
+  node and of its successors (whose inductive conditions assume the edited
+  interface), so an edit invalidates an O(neighbourhood) set, not O(n).
 
-Annotations and policies enter the dependency fingerprint *extensionally*:
-each predicate/transfer function is applied once to canonical query
-variables (the same ``vc$``-prefixed variables the condition builders use)
-and the resulting term is digested.  This assumes annotations are pure term
-builders — the same assumption the rest of the pipeline already makes, since
-conditions are rebuilt from the same callables on every run and compared by
-term identity in the symmetry layer.
+* :func:`network_fingerprint` and :func:`strategy_signature` — the store's
+  identity header: which topology and which verdict-affecting knobs a store
+  was recorded for.
 """
 
 from __future__ import annotations
@@ -50,26 +42,16 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import (
     CONDITION_KINDS,
-    DestinationCanonicalizer,
-    IneligibleDestination,
     VerificationCondition,
-    _query_route,
-    _query_time,
     canonical_node_conditions,
-    destination_variable,
 )
 from repro.errors import VerificationError
 from repro.smt.sorts import BitVecSort, BoolSort, Sort
 from repro.smt.terms import Term
-from repro.symbolic import SymBV, SymBool
-from repro.symbolic.option import SymOption
-from repro.symbolic.record import SymRecord
-from repro.symbolic.sets import SymSet
-from repro.symbolic.values import SymEnum
 
 #: Bumped whenever the fingerprint encoding changes, so digests from older
 #: code versions can never collide with current ones.  ``fp2``: condition
-#: and dependency fingerprints are computed on the destination-canonicalized
+#: fingerprints are computed on the destination-canonicalized
 #: form when the network declares a
 #: :class:`~repro.core.annotations.DestinationSymmetry`, so all-pairs nodes
 #: that differ only by destination-index permutation share fingerprints and
@@ -165,64 +147,6 @@ def fingerprint_term(term: Term) -> str:
     return _TERM_DIGESTS[term.term_id]
 
 
-def fingerprint_value(value: Any, rewrite: Any = None) -> str:
-    """The structural digest of any symbolic value (or plain scalar).
-
-    Dispatches over the six modelling kinds; composites digest their shape
-    metadata (record type and field names, option-ness, set universe) along
-    with their component terms, so two values digest equally iff they are
-    structurally the same symbolic value.  ``rewrite`` optionally maps each
-    component term before digesting (the dependency fingerprint passes the
-    destination canonicalizer here so all-pairs route payloads digest
-    permutation-stably).
-    """
-    def term_digest(term: Term) -> bytes:
-        if rewrite is not None:
-            term = rewrite(term)
-        return fingerprint_term(term).encode("ascii")
-
-    if isinstance(value, (SymBool, SymBV)):
-        return _digest((b"t", term_digest(value.term)))
-    if isinstance(value, SymEnum):
-        return _digest(
-            (
-                b"enum",
-                _encode_payload(value.enum_type.name),
-                _encode_payload(",".join(value.enum_type.members)),
-                term_digest(value.index.term),
-            )
-        )
-    if isinstance(value, SymOption):
-        return _digest(
-            (
-                b"opt",
-                fingerprint_value(value.is_some, rewrite).encode("ascii"),
-                fingerprint_value(value.payload, rewrite).encode("ascii"),
-            )
-        )
-    if isinstance(value, SymSet):
-        return _digest(
-            (b"set",)
-            + tuple(
-                _encode_payload(name)
-                + _SEP
-                + fingerprint_value(value.contains(name), rewrite).encode("ascii")
-                for name in value.universe
-            )
-        )
-    if isinstance(value, SymRecord):
-        return _digest(
-            (b"rec", _encode_payload(value.type_name))
-            + tuple(
-                _encode_payload(name) + _SEP + fingerprint_value(field, rewrite).encode("ascii")
-                for name, field in value
-            )
-        )
-    if isinstance(value, (bool, int, str)):
-        return _digest((b"lit", _encode_payload(value)))
-    raise VerificationError(f"cannot fingerprint value of type {type(value).__name__}")
-
-
 def condition_fingerprint(condition: VerificationCondition) -> str:
     """The content hash of one verification condition.
 
@@ -253,124 +177,11 @@ def node_condition_fingerprints(
     hash-consed and their digests memoised) — destination-canonicalized when
     the network declares a destination symmetry, so permuted all-pairs nodes
     share condition fingerprints — and digests each requested kind.  These
-    are the keys the delta store's verdict map is indexed by.
+    are the keys of the delta store's table of proved conditions.
     """
     requested = set(conditions)
     node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
     return {vc.kind: condition_fingerprint(vc) for vc in node_vcs if vc.kind in requested}
-
-
-def _network_level_parts(annotated: AnnotatedNetwork, delay: int) -> tuple[bytes, ...]:
-    """The digest parts shared by every node's dependency fingerprint.
-
-    The time widths are annotation-*global* (they depend on the largest
-    witness time over all interfaces and properties), so an edit anywhere
-    that changes the width correctly invalidates every node.
-    """
-    network = annotated.network
-    return (
-        b"w%d" % annotated.time_width(),
-        b"wd%d" % annotated.time_width(delay),
-        b"d%d" % delay,
-        fingerprint_term(network.symbolic_constraints().term).encode("ascii"),
-        _encode_payload(",".join(symbolic.name for symbolic in network.symbolics)),
-    )
-
-
-def node_dependency_fingerprint(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-) -> str:
-    """The invalidation key of one node: everything its conditions depend on.
-
-    Covers, over the same canonical ``vc$`` query variables the condition
-    builders use: the node's interface and property, its initial route and
-    route update (the policy), the route-shape constraint, each
-    predecessor's interface in position order, the network's symbolic
-    constraints and the time widths.  Node identity is erased (positional
-    naming), so isomorphic nodes share dependency fingerprints — the same
-    equivalence the symmetry layer computes, obtained here without an extra
-    mechanism.  Under a declared destination symmetry the digested terms are
-    additionally destination-canonicalized (falling back to raw terms when
-    the destination is used outside the eligible shapes), so the dependency
-    equivalence matches the destination quotient too.
-    """
-    destination = destination_variable(annotated)
-    if destination is not None:
-        canonicalizer = DestinationCanonicalizer(
-            destination, annotated.destination_symmetry.size
-        )
-        try:
-            return _dependency_digest(
-                annotated, node, delay, conditions, canonicalizer.rewrite_term
-            )
-        except IneligibleDestination:
-            pass
-    return _dependency_digest(annotated, node, delay, conditions, None)
-
-
-def _dependency_digest(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int,
-    conditions: Sequence[str],
-    rewrite: Any,
-) -> str:
-    def term_digest(term: Term) -> bytes:
-        if rewrite is not None:
-            term = rewrite(term)
-        return fingerprint_term(term).encode("ascii")
-
-    network = annotated.network
-    width = annotated.time_width(delay)
-    base_width = annotated.time_width()
-
-    time_variable = _query_time(width)
-    base_time = _query_time(base_width)
-    own_route = _query_route(network)
-    interface = annotated.interface(node)
-    node_property = annotated.node_property(node)
-
-    parts: list[bytes] = [FINGERPRINT_VERSION.encode("ascii"), b"dep"]
-    parts.extend(_network_level_parts(annotated, delay))
-    parts.append(_encode_payload(",".join(k for k in CONDITION_KINDS if k in set(conditions))))
-    # The node's own annotation, applied extensionally at both widths the
-    # conditions use (initial/safety run at the base width, inductive at the
-    # delay-extended width).
-    parts.append(term_digest(interface(own_route, base_time).term))
-    parts.append(term_digest(interface(own_route, time_variable).term))
-    parts.append(term_digest(node_property(own_route, base_time).term))
-    # The policy: initial route, route well-formedness, and the route update
-    # over canonical per-position neighbour routes.
-    parts.append(fingerprint_value(network.initial_route(node), rewrite).encode("ascii"))
-    parts.append(term_digest(network.route_shape.constraint(own_route).term))
-    neighbor_routes: dict[str, Any] = {}
-    for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, position)
-        neighbor_routes[neighbor] = route
-        # The neighbour's interface is what the inductive condition assumes;
-        # its *name* is deliberately not part of the digest (positional
-        # canonicalization, exactly as in the conditions themselves).
-        parts.append(term_digest(annotated.interface(neighbor)(route, time_variable).term))
-    parts.append(
-        fingerprint_value(network.updated_route(node, neighbor_routes), rewrite).encode("ascii")
-    )
-    return _digest(parts)
-
-
-def dependency_fingerprints(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-) -> dict[str, str]:
-    """Dependency fingerprints for a node selection (one pass, shared terms)."""
-    return {
-        node: node_dependency_fingerprint(annotated, node, delay=delay, conditions=conditions)
-        for node in nodes
-    }
 
 
 def network_fingerprint(annotated: AnnotatedNetwork) -> str:

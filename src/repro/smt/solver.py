@@ -229,7 +229,7 @@ def bit_is_exploded(name: str) -> bool:
 def check_sat(term: Term, solver: "Solver | None" = None) -> CheckResult:
     """Check satisfiability of a single term.
 
-    ``solver`` may be a reusable backend (a facade :class:`Solver` or an
+    ``solver`` may be a long-lived backend (a facade :class:`Solver` or an
     :class:`~repro.smt.incremental.IncrementalSolver`); the term is checked
     in a fresh ``push``/``pop`` frame so the backend's own assertions are
     untouched.  Without one, a throwaway facade is used.

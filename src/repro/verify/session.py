@@ -29,7 +29,6 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import CONDITION_KINDS
 from repro.core.fingerprint import (
-    dependency_fingerprints,
     network_fingerprint,
     node_condition_fingerprints,
     strategy_signature,
@@ -380,61 +379,30 @@ def _reused_report(
     return NodeReport(node=node, results=results, duration=0.0)
 
 
-def _store_reuses(
-    store: DeltaStore,
-    annotated: AnnotatedNetwork,
-    strategy: Modular,
-    node: str,
-    dependency: str,
-    kinds: Sequence[str],
-) -> bool:
-    """Whether the store can supply all of ``node``'s verdicts.
-
-    Fast path: the node's recorded dependency fingerprint matches, deciding
-    reuse without building any condition.  Slow path: the invalidation key
-    changed, but every requested condition's exact content hash is still
-    recorded as proved — a reverted config edit, or a node isomorphic to one
-    proved under another name — in which case the node entry is refreshed so
-    the next run takes the fast path again.  A slow-path hit is reuse at its
-    soundest: the content hash *is* the query.
-    """
-    if store.reusable(node, dependency, kinds):
-        return True
-    fingerprints = node_condition_fingerprints(
-        annotated, node, delay=strategy.delay, conditions=kinds
-    )
-    if store.has_conditions(fingerprints, kinds):
-        store.record(node, dependency, fingerprints)
-        return True
-    return False
-
-
 def _record_delta_run(
     store: DeltaStore,
-    annotated: AnnotatedNetwork,
-    strategy: Modular,
     reports: Sequence[NodeReport],
-    dependencies: Mapping[str, str],
+    pending: Mapping[str, Mapping[str, str]],
     kinds: Sequence[str],
 ) -> None:
-    """Record this run's fully-passing freshly-checked nodes into the store.
+    """Record the condition hashes this run proved into the store.
 
-    A node is recorded only when every requested kind received a passing
-    verdict *this run* (discharged, or propagated from its class
-    representative): fail-fast truncation, early stop and failures all leave
-    the node unrecorded, so a warm run can never reuse an unproved verdict.
-    Nodes that were themselves reused keep their existing entries.
+    ``pending`` maps each re-checked class representative to the condition
+    fingerprints computed when the store was consulted.  A representative
+    is recorded only when it discharged a passing verdict for every
+    requested kind *this run*: fail-fast truncation, early stop and failures
+    all leave it unrecorded, so a warm run can never reuse an unproved
+    verdict.  Other members are never recorded: they only received the
+    representative's verdict, which under a trusted symmetry hint their own
+    conditions need not earn.
     """
     for report in reports:
-        if any(result.reused for result in report.results):
+        fingerprints = pending.get(report.node)
+        if fingerprints is None or not report.passed:
             continue
-        observed = {result.condition for result in report.results if result.holds}
-        if not report.passed or not all(kind in observed for kind in kinds):
-            continue
-        fingerprints = node_condition_fingerprints(
-            annotated, report.node, delay=strategy.delay, conditions=kinds
-        )
-        store.record(report.node, dependencies[report.node], fingerprints)
+        proved = {result.condition for result in report.results if result.holds}
+        if all(kind in proved for kind in kinds):
+            store.record(fingerprints)
 
 
 def modular_events(
@@ -445,9 +413,9 @@ def modular_events(
     One scheduling flow serves every symmetry mode: the selected nodes are
     partitioned into classes (:func:`repro.core.symmetry.partition_nodes`;
     ``symmetry="off"`` is the singleton partition), the delta filter drops
-    reusable classes, and the remainder is checked class by class with
-    :func:`repro.core.checker.check_class` — sequentially, or streamed from
-    the fork pool under the class scheduler.  Batches are yielded as they
+    the classes the store already proved, and the remainder is checked
+    class by class with :func:`repro.core.checker.check_class` —
+    sequentially, or streamed from the fork pool under the class scheduler.  Batches are yielded as they
     complete — parallel batches arrive in completion order, the moment each
     worker finishes — and each batch opens a fresh SAT scope on its backend.
     Final reports are re-sorted to the deterministic node selection order
@@ -463,14 +431,13 @@ def modular_events(
     got no verdict (``conditions_skipped`` — never-scheduled nodes, plus
     in-flight batches discarded with the stopped pool).
 
-    With ``strategy.delta == "reuse"`` the engine first loads the fingerprint
-    store and computes every selected node's dependency fingerprint; classes
-    (keyed by their representative) whose fingerprints match recorded
-    passing verdicts are emitted up front as zero-cost ``reused`` events,
-    and only the changed remainder reaches the scheduling machinery above.
-    On normal completion the store is re-recorded with this run's
-    fully-passing nodes and atomically saved; an abandoned stream leaves the
-    store file untouched.
+    With ``strategy.delta == "reuse"`` the engine first loads the delta
+    store and fingerprints each class representative's conditions; a class
+    whose every requested condition hash is recorded as proved is emitted up
+    front as zero-cost ``reused`` events, and only the remainder reaches the
+    scheduling machinery above.  On normal completion the hashes of the
+    representatives that passed are recorded and the store is saved; an
+    abandoned stream leaves the store file untouched.
     """
     from repro.core.checker import check_class
 
@@ -487,16 +454,13 @@ def modular_events(
     reports = []
 
     store: DeltaStore | None = None
-    dependencies: dict[str, str] = {}
+    pending: dict[str, dict[str, str]] = {}
     kinds = _delta_kinds(strategy)
     if strategy.delta == "reuse":
         # Store load and fingerprinting are part of the run (inside the wall
         # clock): the warm-run speedup reported by the benchmarks is net of
         # the delta layer's own overhead.
         store = _open_delta_store(session, strategy)
-        dependencies = dependency_fingerprints(
-            annotated, selected, delay=strategy.delay, conditions=strategy.conditions
-        )
 
     def snapshot() -> dict[str, int]:
         # Session-owned solvers carry their own counters; otherwise the
@@ -538,17 +502,16 @@ def modular_events(
                 if len(symmetry_class) > 1:
                     symmetry_class.spot_member = rng.choice(symmetry_class.members[1:])
         if store is not None:
-            # A class is reusable iff its representative's fingerprints are:
-            # class membership is keyed on term-identical canonical
-            # conditions, so the representative's dependency fingerprint
-            # *is* every member's.
+            # A class is reused iff its representative's conditions are all
+            # recorded as proved: the representative's verdicts are what the
+            # class propagates to its members.
             recheck = []
             for symmetry_class in classes:
                 representative = symmetry_class.representative
-                if _store_reuses(
-                    store, annotated, strategy, representative,
-                    dependencies[representative], kinds,
-                ):
+                fingerprints = node_condition_fingerprints(
+                    annotated, representative, delay=strategy.delay, conditions=kinds
+                )
+                if store.has_conditions(fingerprints, kinds):
                     for member in symmetry_class.members:
                         report = _reused_report(
                             member,
@@ -558,6 +521,7 @@ def modular_events(
                         reports.append(report)
                         yield from report.results
                 else:
+                    pending[representative] = fingerprints
                     recheck.append(symmetry_class)
             classes = recheck
         if strategy.parallel > 1:
@@ -611,7 +575,7 @@ def modular_events(
     if store is not None:
         # Only on normal completion: an abandoned stream never reaches here,
         # so a half-observed run can't overwrite a good store.
-        _record_delta_run(store, annotated, strategy, reports, dependencies, kinds)
+        _record_delta_run(store, reports, pending, kinds)
         store.save()
     checked_nodes = {report.node for report in reports}
     conditions_skipped = (

@@ -1,56 +1,57 @@
-"""The delta-verification store: fingerprints and verdicts between runs.
+"""The delta-verification store: proved condition hashes between runs.
 
 ``Modular(delta="reuse")`` makes :class:`repro.verify.Session` consult a
-small on-disk store before discharging anything: a node whose *dependency
-fingerprint* (see :mod:`repro.core.fingerprint`) is unchanged since the last
-recorded run gets its cached verdicts back as ``reused`` events, and only
-changed/new nodes are handed to the SMT backend.  This module owns that
-store's format and lifecycle.
+small on-disk store before discharging anything: a symmetry class whose
+representative's *condition fingerprints* (see
+:mod:`repro.core.fingerprint`) are all recorded as proved gets its verdicts
+back as ``reused`` events, and only the remaining classes are handed to the
+SMT backend.  This module owns that store's format and lifecycle.
 
 **Format.**  One JSON document per (network topology, strategy signature)
-pair, with two tables:
+pair, with one table, ``conditions``: canonical condition content hash →
+metadata (the condition kind).  Presence means "proved".  Only *passing*
+verdicts are recorded; a failing condition is always re-discharged so its
+counterexample is fresh and its verdict can never go stale.
 
-* ``conditions`` — the fingerprint-keyed verdict map the ISSUE of record
-  asks for: canonical condition content hash → verdict + metadata.  Only
-  *passing* verdicts are recorded; a failing condition is always
-  re-discharged so its counterexample is fresh and its verdict can never go
-  stale.
-* ``nodes`` — the invalidation index: node name → dependency fingerprint +
-  its per-kind condition fingerprints.  Reuse requires the dependency
-  fingerprint to match *and* every requested kind to resolve to a passing
-  entry in ``conditions``.
-
-Because both fingerprints are computed from canonicalized (node-identity-
-erased) term structure, a stale entry can never produce a wrong verdict: any
-semantic change to the inputs of a node's conditions changes its dependency
-fingerprint, and an entry that no longer matches is simply not reused.
-Entries for nodes whose fingerprint changed are *kept* until the node next
-passes — if the operator reverts the config edit, the old entry matches
-again and is legitimately reusable.
+The key is the content hash of the (canonicalized, node-identity-erased)
+query itself, so a stale entry can never produce a wrong verdict: any
+semantic change to a condition changes its hash, and an entry that no
+longer matches is simply not found.  Entries are never evicted — if the
+operator reverts a config edit, the old hashes match again and are
+legitimately reused — which makes the table a monotone set.
 
 **Robustness.**  Loading is fail-soft by design: a truncated/corrupt file, a
 format-version mismatch, a different network topology or a different
 strategy signature each degrade to an empty store (i.e. a full run) with a
 :class:`RuntimeWarning` naming the reason — never a crash, never a stale
 verdict.  Saving is atomic (write-to-temp + ``os.replace``) so a crashed or
-interrupted run cannot truncate a previously good store.
+interrupted run cannot truncate a previously good store.  Saving also
+unions the table with the file's current content, under an exclusive lock
+on a sidecar ``<path>.lock`` where POSIX file locks exist, so two runs
+saving the same store both keep their proved hashes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: saves stay atomic but are not serialized
+    fcntl = None  # type: ignore[assignment]
 
 #: Format version; bump on any incompatible schema change.  Loaders treat a
 #: mismatch as "no store" (full run), never attempt migration in place.
-#: Version 2: fingerprints moved to the destination-canonicalized ``fp2``
-#: encoding (see :mod:`repro.core.fingerprint`), so ``fp1`` stores must not
-#: be reused against them.
-STORE_VERSION = 2
+#: Version 3: the condition table is the only table (the per-node dependency
+#: index is gone).  Version 2 stores may hold the condition hashes of class
+#: members that only received a propagated verdict and were never proved.
+STORE_VERSION = 3
 
 #: Directory the session drops stores into when no explicit path is given.
 DEFAULT_STORE_DIR = ".timepiece-delta"
@@ -72,6 +73,51 @@ def _warn(path: str, reason: str) -> None:
     )
 
 
+def _read_conditions(
+    path: str, network: str, strategy: str
+) -> tuple[dict[str, dict] | None, str | None]:
+    """The condition table stored at ``path``, or ``None`` and why not.
+
+    The reason is ``None`` for a missing file (a cold start, not worth a
+    warning) and names the problem for every unusable one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        return None, None
+    except (OSError, ValueError) as error:
+        return None, f"unreadable or corrupt: {error}"
+    if not isinstance(document, dict):
+        return None, "malformed document (not a JSON object)"
+    if document.get("version") != STORE_VERSION:
+        return None, f"format version {document.get('version')!r} != {STORE_VERSION}"
+    if document.get("network") != network:
+        return None, "recorded for a different network topology"
+    if document.get("strategy") != strategy:
+        return None, "recorded under a different strategy signature"
+    conditions = document.get("conditions")
+    if not isinstance(conditions, dict):
+        return None, "malformed condition table"
+    return conditions, None
+
+
+@contextlib.contextmanager
+def _exclusive(path: str) -> Iterator[None]:
+    """Hold an exclusive POSIX lock on the sidecar ``<path>.lock``.
+
+    The lock file is never removed: unlinking it would let a later writer
+    lock a fresh inode while an earlier one still holds the old.  Closing
+    the handle releases the lock.
+    """
+    if fcntl is None:
+        yield
+        return
+    with open(path + ".lock", "a", encoding="utf-8") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
+
+
 @dataclass
 class DeltaStore:
     """In-memory image of one store file, plus its identity header."""
@@ -81,8 +127,6 @@ class DeltaStore:
     strategy: str
     #: Canonical condition fingerprint → metadata.  Presence means "proved".
     conditions: dict[str, dict] = field(default_factory=dict)
-    #: Node name → {"dependency": fp, "conditions": {kind: condition fp}}.
-    nodes: dict[str, dict] = field(default_factory=dict)
     #: Whether anything changed since load (saving is skipped otherwise).
     dirty: bool = False
 
@@ -99,70 +143,24 @@ class DeltaStore:
         start emit a :class:`RuntimeWarning` naming the reason.
         """
         store = cls(path=path, network=network, strategy=strategy)
-        if not os.path.exists(path):
-            return store
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as error:
-            _warn(path, f"unreadable or corrupt: {error}")
-            return store
-        if not isinstance(document, dict):
-            _warn(path, "malformed document (not a JSON object)")
-            return store
-        if document.get("version") != STORE_VERSION:
-            _warn(
-                path,
-                f"format version {document.get('version')!r} != {STORE_VERSION}",
-            )
-            return store
-        if document.get("network") != network:
-            _warn(path, "recorded for a different network topology")
-            return store
-        if document.get("strategy") != strategy:
-            _warn(path, "recorded under a different strategy signature")
-            return store
-        conditions = document.get("conditions")
-        nodes = document.get("nodes")
-        if not isinstance(conditions, dict) or not isinstance(nodes, dict):
-            _warn(path, "malformed condition/node tables")
-            return store
-        for name, entry in nodes.items():
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("dependency"), str)
-                or not isinstance(entry.get("conditions"), dict)
-            ):
-                _warn(path, f"malformed node entry {name!r}")
-                return store
-        store.conditions = conditions
-        store.nodes = nodes
+        conditions, reason = _read_conditions(path, network, strategy)
+        if reason is not None:
+            _warn(path, reason)
+        elif conditions is not None:
+            store.conditions = conditions
         return store
 
     # -- queries -----------------------------------------------------------------
-
-    def reusable(self, node: str, dependency: str, kinds: Sequence[str]) -> bool:
-        """Whether ``node``'s verdicts can be reused under ``dependency``.
-
-        Requires a recorded entry whose dependency fingerprint matches and
-        whose condition fingerprints for *every* requested kind resolve to
-        recorded (passing) verdicts.
-        """
-        entry = self.nodes.get(node)
-        if entry is None or entry.get("dependency") != dependency:
-            return False
-        recorded = entry.get("conditions", {})
-        return self.has_conditions(recorded, kinds)
 
     def has_conditions(
         self, condition_fingerprints: Mapping[str, str], kinds: Sequence[str]
     ) -> bool:
         """Whether every requested kind's exact condition is recorded as proved.
 
-        The slow-path reuse check: condition fingerprints are content hashes
-        of the (canonicalized) query itself, so a hit here is reusable even
-        when the node's dependency entry points elsewhere — e.g. after a
-        config edit was reverted, the old conditions are still in the table.
+        Condition fingerprints are content hashes of the (canonicalized)
+        query itself, so a hit may be reused whichever node or run proved it —
+        e.g. after a config edit was reverted, the old conditions are still
+        in the table.
         """
         for kind in kinds:
             fingerprint = condition_fingerprints.get(kind)
@@ -172,55 +170,52 @@ class DeltaStore:
 
     # -- updates -----------------------------------------------------------------
 
-    def record(
-        self, node: str, dependency: str, condition_fingerprints: Mapping[str, str]
-    ) -> None:
-        """Record one fully-passing node: its dependency key and verdicts.
+    def record(self, condition_fingerprints: Mapping[str, str]) -> None:
+        """Record proved conditions, given as kind → condition fingerprint.
 
-        Callers only record nodes whose every requested condition passed —
-        the store never holds failing verdicts (they must be re-discharged
-        for fresh counterexamples).
+        Callers only record conditions that were discharged and passed —
+        the store never holds failing or merely propagated verdicts.
         """
-        entry = {"dependency": dependency, "conditions": dict(condition_fingerprints)}
-        if self.nodes.get(node) != entry:
-            self.nodes[node] = entry
-            self.dirty = True
         for kind, fingerprint in condition_fingerprints.items():
-            metadata = {"kind": kind, "holds": True, "node": node}
-            existing = self.conditions.get(fingerprint)
-            if existing is None:
-                self.conditions[fingerprint] = metadata
+            if fingerprint not in self.conditions:
+                self.conditions[fingerprint] = {"kind": kind}
                 self.dirty = True
 
     def save(self) -> None:
-        """Atomically persist the store (no-op when nothing changed).
+        """Persist the store, merged with the file's content (no-op when clean).
 
-        Writes the full document to a sibling temp file and ``os.replace``s
-        it over the target, so readers only ever observe a complete store —
-        an interrupted save leaves the previous version intact.
+        Under the sidecar lock, re-reads the file and unions its condition
+        table into this one when its header matches (otherwise the file is
+        replaced, as a fail-soft load would have discarded it).  The full
+        document goes to a sibling temp file that is ``os.replace``d over
+        the target, so readers only ever observe a complete store — an
+        interrupted save leaves the previous version intact.
         """
         if not self.dirty:
             return
-        document = {
-            "version": STORE_VERSION,
-            "network": self.network,
-            "strategy": self.strategy,
-            "conditions": self.conditions,
-            "nodes": self.nodes,
-        }
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)
-        descriptor, temporary = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=1, sort_keys=True)
-            os.replace(temporary, self.path)
-        except BaseException:
+        with _exclusive(self.path):
+            current, _ = _read_conditions(self.path, self.network, self.strategy)
+            for fingerprint, metadata in (current or {}).items():
+                self.conditions.setdefault(fingerprint, metadata)
+            document = {
+                "version": STORE_VERSION,
+                "network": self.network,
+                "strategy": self.strategy,
+                "conditions": self.conditions,
+            }
+            descriptor, temporary = tempfile.mkstemp(
+                prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
+            )
             try:
-                os.unlink(temporary)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                    json.dump(document, handle, indent=1, sort_keys=True)
+                os.replace(temporary, self.path)
+            except BaseException:
+                try:
+                    os.unlink(temporary)
+                except OSError:
+                    pass
+                raise
         self.dirty = False

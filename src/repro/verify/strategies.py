@@ -39,10 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 BACKENDS = ("incremental", "persistent", "fresh")
 
 #: Delta re-verification modes: ``off`` re-discharges everything (the
-#: historical behaviour), ``reuse`` consults the on-disk fingerprint store
-#: (:mod:`repro.verify.store`) and only discharges conditions whose inputs
-#: changed since the last recorded run, emitting cached verdicts as
-#: ``reused`` events for the rest.
+#: historical behaviour), ``reuse`` consults the on-disk store of proved
+#: condition hashes (:mod:`repro.verify.store`) and only discharges classes
+#: whose representative's conditions are not all recorded there, emitting
+#: cached verdicts as ``reused`` events for the rest.
 DELTA_MODES = ("off", "reuse")
 
 
@@ -136,10 +136,11 @@ class Modular(Strategy):
     and the report records ``stopped_early``/``conditions_skipped``.
 
     ``delta="reuse"`` (CLI ``--delta reuse``) turns the run change-aware: a
-    fingerprint store persisted between runs (``store``, defaulting to a
-    conventional path) supplies cached verdicts for nodes whose condition
-    inputs are unchanged, so a config edit re-checks only the edited node's
-    neighbourhood and a no-op re-run reuses everything.
+    store of proved condition content hashes persisted between runs
+    (``store``, defaulting to a conventional path) supplies cached verdicts
+    for classes whose representative's exact conditions were proved before,
+    so a config edit re-checks only the edited node's neighbourhood and a
+    no-op re-run reuses everything.
     """
 
     name: ClassVar[str] = "modular"
@@ -154,10 +155,10 @@ class Modular(Strategy):
     delay: int = 0
     conditions: tuple[str, ...] = CONDITION_KINDS
     #: Delta re-verification mode (:data:`DELTA_MODES`).  With ``"reuse"``
-    #: the session loads the fingerprint store before the run, emits cached
-    #: verdicts (``ConditionResult.reused``) for unchanged nodes/classes,
-    #: discharges only the changed remainder, and atomically re-records the
-    #: store afterwards.
+    #: the session loads the store of proved condition hashes before the
+    #: run, emits cached verdicts (``ConditionResult.reused``) for classes
+    #: whose representative's conditions are all recorded, discharges only
+    #: the remainder, and records the newly proved hashes afterwards.
     delta: str = "off"
     #: Store file path for ``delta="reuse"``; ``None`` derives the
     #: conventional per-(network, strategy) path under

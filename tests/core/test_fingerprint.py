@@ -14,12 +14,10 @@ from repro.core.conditions import CONDITION_KINDS, node_conditions
 from repro.core.fingerprint import (
     clear_fingerprint_cache,
     condition_fingerprint,
-    dependency_fingerprints,
     fingerprint_statistics,
     fingerprint_term,
     network_fingerprint,
     node_condition_fingerprints,
-    node_dependency_fingerprint,
     strategy_signature,
 )
 from repro.core.symmetry import partition_nodes
@@ -114,17 +112,19 @@ class TestConditionFingerprints:
 
 
 class TestDependencyFingerprints:
+    """The condition fingerprints as the delta key: what a node's key depends on."""
+
     def test_stable_across_cache_clears(self, reach_annotated):
         node = reach_annotated.nodes[0]
-        first = node_dependency_fingerprint(reach_annotated, node)
+        first = node_condition_fingerprints(reach_annotated, node)
         clear_fingerprint_cache()
-        assert node_dependency_fingerprint(reach_annotated, node) == first
+        assert node_condition_fingerprints(reach_annotated, node) == first
 
     def test_edit_invalidates_exactly_the_neighbourhood(self, reach_annotated):
         """Editing one interface changes the edited node and its successors."""
         edited, poisoned = inject_interface_failure(reach_annotated)
-        before = dependency_fingerprints(reach_annotated, reach_annotated.nodes)
-        after = dependency_fingerprints(edited, edited.nodes)
+        before = {n: node_condition_fingerprints(reach_annotated, n) for n in edited.nodes}
+        after = {n: node_condition_fingerprints(edited, n) for n in edited.nodes}
         successors = {
             node
             for node in reach_annotated.nodes
@@ -134,10 +134,12 @@ class TestDependencyFingerprints:
         assert changed == {poisoned} | successors
 
     def test_delay_changes_the_fingerprint(self, reach_annotated):
+        """Only the inductive condition depends on the delay."""
         node = reach_annotated.nodes[0]
-        assert node_dependency_fingerprint(
-            reach_annotated, node, delay=0
-        ) != node_dependency_fingerprint(reach_annotated, node, delay=1)
+        undelayed = node_condition_fingerprints(reach_annotated, node, delay=0)
+        delayed = node_condition_fingerprints(reach_annotated, node, delay=1)
+        changed = {kind for kind in CONDITION_KINDS if undelayed[kind] != delayed[kind]}
+        assert changed == {"inductive"}
 
 
 class TestStoreIdentityKeys:
@@ -165,8 +167,7 @@ class TestStoreIdentityKeys:
 _SUBPROCESS_SCRIPT = """
 import json
 from repro.core.fingerprint import (
-    network_fingerprint, node_condition_fingerprints,
-    node_dependency_fingerprint, strategy_signature,
+    network_fingerprint, node_condition_fingerprints, strategy_signature,
 )
 from repro.core.conditions import CONDITION_KINDS
 from repro.networks import registry
@@ -176,7 +177,6 @@ print(json.dumps({
     "network": network_fingerprint(annotated),
     "strategy": strategy_signature(0, CONDITION_KINDS),
     "conditions": {n: node_condition_fingerprints(annotated, n) for n in annotated.nodes},
-    "dependencies": {n: node_dependency_fingerprint(annotated, n) for n in annotated.nodes},
 }, sort_keys=True))
 """
 
@@ -213,9 +213,6 @@ class TestProcessIndependence:
             "strategy": strategy_signature(0, CONDITION_KINDS),
             "conditions": {
                 n: node_condition_fingerprints(annotated, n) for n in annotated.nodes
-            },
-            "dependencies": {
-                n: node_dependency_fingerprint(annotated, n) for n in annotated.nodes
             },
         }
         assert local == outputs[0]

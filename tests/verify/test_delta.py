@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.core.annotations import AnnotatedNetwork
 from repro.core.results import condition_verdicts
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
@@ -23,6 +24,11 @@ def reach():
 
 def _store(tmp_path, name="delta.json"):
     return str(tmp_path / name)
+
+
+def _store_documents():
+    """The store files under the default directory (not their lock files)."""
+    return [name for name in os.listdir(DEFAULT_STORE_DIR) if name.endswith(".json")]
 
 
 def _fresh_nodes(report):
@@ -57,8 +63,7 @@ class TestColdWarm:
     def test_default_store_path_under_dot_directory(self, reach, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         verify(reach, Modular(delta="reuse"))
-        stores = os.listdir(DEFAULT_STORE_DIR)
-        assert len(stores) == 1 and stores[0].endswith(".json")
+        assert len(_store_documents()) == 1
         warm = verify(reach, Modular(delta="reuse"))
         assert warm.conditions_reused == warm.conditions_checked
 
@@ -69,7 +74,7 @@ class TestColdWarm:
         verify(reach, Modular(delta="reuse"))
         subset = verify(reach, Modular(delta="reuse", conditions=("safety",)))
         assert subset.conditions_reused == 0
-        assert len(os.listdir(DEFAULT_STORE_DIR)) == 2
+        assert len(_store_documents()) == 2
 
     def test_explicit_store_with_other_signature_degrades(self, reach, tmp_path):
         store = _store(tmp_path)
@@ -116,9 +121,37 @@ class TestEditInvalidation:
         }
         assert failing and failing <= _fresh_nodes(second)
 
+    def test_propagated_pass_is_never_recorded_as_proved(self, reach, tmp_path):
+        """Regression: a hint class propagates its representative's pass to a
+        member whose own conditions fail.  The store may only hold what was
+        proved — the representative's hashes — so a later hint-free run must
+        re-discharge the member and report its failure."""
+        edges = [node for node in reach.nodes if node.startswith("edge-")]
+        edited, poisoned = inject_interface_failure(reach, edges[-1])
+        topology = reach.network.topology
+        partner = next(
+            node for node in edges if topology.in_degree(node) == topology.in_degree(poisoned)
+        )
+        hinted = AnnotatedNetwork(
+            edited.network,
+            {node: edited.interface(node) for node in edited.nodes},
+            {node: edited.node_property(node) for node in edited.nodes},
+            minimum_time_width=edited.minimum_time_width,
+            symmetry_key=lambda node: "pair" if node in (partner, poisoned) else None,
+        )
+        truth = verify(edited, Modular())
+        assert truth.node_reports[partner].passed and not truth.node_reports[poisoned].passed
+
+        store = _store(tmp_path)
+        trusted = verify(hinted, Modular(symmetry="classes", delta="reuse", store=store))
+        assert trusted.node_reports[poisoned].passed  # hints are trusted, as documented
+        unhinted = verify(edited, Modular(delta="reuse", store=store))
+        assert not unhinted.node_reports[poisoned].passed
+        assert condition_verdicts(unhinted) == condition_verdicts(truth)
+
     def test_reverted_edit_is_fully_reusable(self, reach, tmp_path):
-        """The slow path: an edit overwrote neighbour entries, but their
-        original condition hashes are still recorded — the revert reuses."""
+        """An edit re-checked the neighbourhood, but the original condition
+        hashes are still recorded — the revert reuses every verdict."""
         store = _store(tmp_path)
         cold = verify(reach, Modular(delta="reuse", store=store))
         edited, _ = inject_interface_failure(reach)
